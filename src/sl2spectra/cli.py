@@ -5,9 +5,15 @@ documents follow schemas/spectrum_report.v1.json, and CSV output is
 RFC-4180-style (CRLF, header row).  Identical configurations produce
 byte-identical output.
 
-Exit codes: 0 success, 2 invalid specification/range/level, 3 no regular
-branch (analyze/verify emit an empty-spectrum document first), 4 verification
-mismatch, 5 eigensolver non-convergence.
+Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling,
+missing family flags, an empty sweep range or a family without a sweep
+parameter, no level (epsilon, n), more closed-form levels than
+spectrum.MAX_LEVEL_COUNT, a grid too coarse for the requested profile, or a
+--from-file that is unreadable, lacks a column or is zero everywhere, or
+any other SpectraError);
+3 no regular branch (analyze still emits an empty-spectrum document, the
+other commands print nothing); 4 verification mismatch; 5 eigensolver
+non-convergence.
 """
 
 from __future__ import annotations
@@ -16,16 +22,15 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import families, oracle, spectrum
 from .algebra import GridFunction, tower_state
-from .errors import InvalidSpec, NoConvergence, NoRegularBranch
+from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
 
 ENV_GRID_N = "SPECTRA_DEFAULT_GRID_N"
 
@@ -34,6 +39,7 @@ EXIT_INVALID = 2
 EXIT_NO_BRANCH = 3
 EXIT_UNMATCHED = 4
 EXIT_NO_CONVERGENCE = 5
+EXIT_CODES = {NoRegularBranch: EXIT_NO_BRANCH, NoConvergence: EXIT_NO_CONVERGENCE}
 
 
 def _fmt(x: float) -> str:
@@ -59,31 +65,13 @@ class RunConfig:
     sweep: tuple[float, float, float] | None = None
     from_file: str | None = None
     output: str | None = None
-    output_format: str = "json"
 
 
-def _spec_from_args(args) -> object:
-    family = args.family
-    if family == "scarf2":
-        _need(args, "v1", "v2")
-        return families.ScarfSpec(v1=args.v1, v2=args.v2)
-    if family == "poschl-teller":
-        _need(args, "v1", "v2")
-        return families.PoschlTellerSpec(
-            v1=args.v1,
-            v2=args.v2,
-            c=args.c if args.c is not None else 0.0,
-            gamma=args.contour_gamma if args.contour_gamma is not None else math.pi / 8,
-        )
-    if family == "morse":
-        _need(args, "v1r", "v1i", "v2r", "v2i")
-        return families.MorseSpec(v1r=args.v1r, v1i=args.v1i, v2r=args.v2r, v2i=args.v2i)
-    if family == "morse-ab":
-        _need(args, "A", "B", "gamma_p", "delta_p")
-        return families.MorseABSpec(
-            A=args.A, B=args.B, gamma_p=args.gamma_p, delta_p=args.delta_p
-        )
-    raise InvalidSpec(f"unknown family {family!r}")
+def _spec_from_args(args) -> families.FamilySpec:
+    cls = families.FAMILIES[args.family]
+    _need(args, *(f.name for f in fields(cls) if f.default is MISSING))
+    given = {f.name: getattr(args, f.name) for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _need(args, *names):
@@ -102,21 +90,6 @@ def _grid_from_args(args, spec) -> oracle.Grid:
     x_min = args.x_min if args.x_min is not None else base.x_min
     x_max = args.x_max if args.x_max is not None else base.x_max
     return oracle.Grid(x_min, x_max, base.n_points)
-
-
-def _parameters_dict(spec) -> dict:
-    if isinstance(spec, families.ScarfSpec):
-        return {"v1": spec.v1, "v2": spec.v2}
-    if isinstance(spec, families.PoschlTellerSpec):
-        return {"v1": spec.v1, "v2": spec.v2, "c": spec.c, "contour_gamma": spec.gamma}
-    if isinstance(spec, families.MorseSpec):
-        return {"v1r": spec.v1r, "v1i": spec.v1i, "v2r": spec.v2r, "v2i": spec.v2i}
-    return {
-        "A": spec.A,
-        "B": spec.B,
-        "gamma_p": spec.gamma_p,
-        "delta_p": spec.delta_p,
-    }
 
 
 def report_document(report: spectrum.SpectrumReport) -> dict:
@@ -149,7 +122,7 @@ def report_document(report: spectrum.SpectrumReport) -> dict:
     return {
         "schema_version": 1,
         "family": spec.family,
-        "parameters": {k: _round15(v) for k, v in _parameters_dict(spec).items()},
+        "parameters": {k: _round15(v) for k, v in spec.parameters().items()},
         "classification": report.classification.value,
         "pt_symmetric": report.pt_symmetric,
         "threshold_distance": None
@@ -231,26 +204,30 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _level_for(spec, epsilon: int, n: int):
-    """The (solution, energy) pair for branch epsilon and index n, or None."""
+    """The (solution, level) pair for branch epsilon and index n."""
     for sol in families.solve(spec):
-        if sol.epsilon == epsilon and n < spectrum.level_count(sol.n_max_exclusive):
-            return sol, [lv for lv in spectrum.enumerate_levels(sol) if lv.n == n][0]
-    return None
+        if sol.epsilon == epsilon and 0 <= n < spectrum.level_count(sol.n_max_exclusive):
+            return sol, spectrum.enumerate_levels(sol)[n]
+    raise InvalidSpec(f"no level (epsilon={epsilon}, n={n})")
+
+
+def _read_profile(path: str) -> GridFunction:
+    """The x, re_psi, im_psi columns of a CSV written by `wavefunction`."""
+    xs, re_psi, im_psi = [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                xs.append(float(row["x"]))
+                re_psi.append(float(row["re_psi"]))
+                im_psi.append(float(row["im_psi"]))
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+    return GridFunction(np.asarray(xs), np.asarray(re_psi) + 1j * np.asarray(im_psi))
 
 
 def _verify_from_file(config: RunConfig) -> int:
-    found = _level_for(config.spec, config.epsilon, config.n)
-    if found is None:
-        sys.stderr.write(f"no level (epsilon={config.epsilon}, n={config.n})\n")
-        return EXIT_INVALID
-    _, level = found
-    xs, re_psi, im_psi = [], [], []
-    with open(config.from_file, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row["x"]))
-            re_psi.append(float(row["re_psi"]))
-            im_psi.append(float(row["im_psi"]))
-    psi = GridFunction(np.asarray(xs), np.asarray(re_psi) + 1j * np.asarray(im_psi))
+    _, level = _level_for(config.spec, config.epsilon, config.n)
+    psi = _read_profile(config.from_file)
     res = oracle.residual(psi, config.spec, level.energy)
     ok = res < config.residual_tol
     _emit(
@@ -264,11 +241,7 @@ def _verify_from_file(config: RunConfig) -> int:
 
 
 def cmd_wavefunction(config: RunConfig) -> int:
-    found = _level_for(config.spec, config.epsilon, config.n)
-    if found is None:
-        sys.stderr.write(f"no level (epsilon={config.epsilon}, n={config.n})\n")
-        return EXIT_INVALID
-    sol, _ = found
+    sol, _ = _level_for(config.spec, config.epsilon, config.n)
     grid = config.grid or oracle.default_grid(config.spec)
     psi = tower_state(sol.realization, sol.m, config.n, grid.points)
     table = [
@@ -287,20 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family_args(p):
-        p.add_argument("--family", required=True,
-                       choices=["scarf2", "poschl-teller", "morse", "morse-ab"])
-        p.add_argument("--v1", type=float)
-        p.add_argument("--v2", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--contour-gamma", type=float, dest="contour_gamma")
-        p.add_argument("--v1r", type=float)
-        p.add_argument("--v1i", type=float)
-        p.add_argument("--v2r", type=float)
-        p.add_argument("--v2i", type=float)
-        p.add_argument("--A", type=float)
-        p.add_argument("--B", type=float)
-        p.add_argument("--gamma-p", type=float, dest="gamma_p")
-        p.add_argument("--delta-p", type=float, dest="delta_p")
+        p.add_argument("--family", required=True, choices=list(families.FAMILIES))
+        couplings = (f.name for cls in families.FAMILIES.values() for f in fields(cls))
+        for name in dict.fromkeys(couplings):
+            p.add_argument("--" + name.replace("_", "-"), type=float, dest=name)
         p.add_argument("--output", type=str, default=None)
 
     def add_grid_args(p):
@@ -339,12 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    if args.command == "scan":
+    swept = families.FAMILIES[args.family].sweep_field
+    if args.command == "scan" and swept and getattr(args, swept) is None:
         # the swept parameter may be omitted; seed the base spec from --start
-        if args.family in ("scarf2", "poschl-teller") and args.v2 is None:
-            args.v2 = args.start
-        if args.family == "morse-ab" and args.delta_p is None:
-            args.delta_p = args.start
+        setattr(args, swept, args.start)
     spec = _spec_from_args(args)
     config = RunConfig(command=args.command, spec=spec, output=args.output)
     if args.command in ("verify", "wavefunction"):
@@ -358,7 +319,6 @@ def config_from_args(args) -> RunConfig:
         config.residual_tol = args.residual_tol
     if args.command == "scan":
         config.sweep = (args.start, args.stop, args.step)
-        config.output_format = "csv"
     return config
 
 
@@ -374,15 +334,9 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return dispatch[args.command](config)
-    except (InvalidSpec, ValueError) as exc:
+    except (SpectraError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except NoRegularBranch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_BRANCH
-    except NoConvergence as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
+        return EXIT_CODES.get(type(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

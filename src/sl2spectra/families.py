@@ -5,6 +5,10 @@ Morse) is a closed-form member of one realization class.  The solvers invert
 the matching between the family's couplings and the realization parameters
 (b, m), apply the regularity conditions m_re > 1/2 (and b_re > 0 for class
 III), and return every admissible branch together with its level range.
+
+Each family is one FamilySpec class, and FAMILIES maps family names to
+those classes; the rest of the package reads everything family-specific
+from the spec.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,8 +39,47 @@ def _strictly_above(value: float, bound: float) -> bool:
     return value - bound > REG_TOL * max(1.0, abs(value), abs(bound))
 
 
+class FamilySpec:
+    """Base of the family specs: one frozen dataclass per family, listed in FAMILIES.
+
+    The fields are the couplings in document order: the `parameters` keys
+    and, with '_' written '-', the CLI flags.  A family sets `family`, `box`
+    (default oracle domain) and `sweep_field` (the field `scan` sweeps, or
+    None) and defines `potential` and `_solve`.  Non-finite couplings are
+    rejected here, once for every family.
+    """
+
+    family: ClassVar[str]
+    box: ClassVar[tuple[float, float]]
+    sweep_field: ClassVar[str | None] = None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidSpec(f"{self.family} requires a finite {name}, got {value}")
+
+    def parameters(self) -> dict[str, float]:
+        """The couplings by field name, in field order (the instance holds nothing else)."""
+        return dict(vars(self))
+
+    def threshold_distance(self) -> float | None:
+        """|v2| - (v1 + 1/4) for families with a symmetry-breaking threshold."""
+        return None
+
+    def reality_residual(self) -> float | None:
+        """Residual of the real-spectrum condition for families that have one."""
+        return None
+
+
+# The symmetric box is wide enough that the shallowest certified level
+# (binding momentum ~0.5) decays below 1e-4 of its peak over the outer 5% of
+# the grid; the Morse box puts a > 1e3 potential wall at the left edge.
+SYMMETRIC_BOX = (-20.0, 20.0)
+MORSE_BOX = (-4.0, 35.0)
+
+
 @dataclass(frozen=True)
-class ScarfSpec:
+class ScarfSpec(FamilySpec):
     """V(x) = -v1 * sech(x)**2 - i * v2 * sech(x) * tanh(x),  v1 >= 0, v2 != 0.
 
     v1 = 0 (a purely imaginary potential) is admitted: the broken-coupling
@@ -46,8 +90,11 @@ class ScarfSpec:
     v2: float
 
     family = "scarf2"
+    box = SYMMETRIC_BOX
+    sweep_field = "v2"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.v1 >= 0:
             raise InvalidSpec(f"Scarf II requires v1 >= 0, got {self.v1}")
         if self.v2 == 0:
@@ -58,40 +105,55 @@ class ScarfSpec:
         sech = 1.0 / np.cosh(x)
         return -self.v1 * sech**2 - 1j * self.v2 * sech * np.tanh(x)
 
+    def _solve(self):
+        return solve_scarf2(self)
+
+    def threshold_distance(self) -> float:
+        return abs(self.v2) - (self.v1 + 0.25)
+
 
 @dataclass(frozen=True)
-class PoschlTellerSpec:
-    """V(x) = v1 * cosech(tau)**2 - v2 * cosech(tau) * coth(tau), tau = x - c - i*gamma.
+class PoschlTellerSpec(FamilySpec):
+    """V(x) = v1 * cosech(tau)**2 - v2 * cosech(tau) * coth(tau), tau = x - c - i*contour_gamma.
 
-    Requires v1 > -1/4 and v2 != 0.  The contour shift gamma must be nonzero
-    in (-pi/4, pi/4): on the real axis the gamma = 0 potential is singular at
-    x = c.  c and gamma only move the contour; the spectrum depends on
-    (v1, v2) alone.
+    Requires v1 > -1/4 and v2 != 0.  The contour shift contour_gamma must be
+    nonzero in (-pi/4, pi/4): on the real axis the unshifted potential is
+    singular at x = c.  c and contour_gamma only move the contour; the
+    spectrum depends on (v1, v2) alone.
     """
 
     v1: float
     v2: float
     c: float = 0.0
-    gamma: float = math.pi / 8
+    contour_gamma: float = math.pi / 8
 
     family = "poschl-teller"
+    box = SYMMETRIC_BOX
+    sweep_field = "v2"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.v1 > -0.25:
             raise InvalidSpec(f"generalized Poschl-Teller requires v1 > -1/4, got {self.v1}")
         if self.v2 == 0:
             raise InvalidSpec("generalized Poschl-Teller requires v2 != 0")
-        if self.gamma == 0 or not (-math.pi / 4 < self.gamma < math.pi / 4):
-            raise InvalidSpec(f"gamma must be nonzero in (-pi/4, pi/4), got {self.gamma}")
+        gamma = self.contour_gamma
+        if gamma == 0 or not (-math.pi / 4 < gamma < math.pi / 4):
+            raise InvalidSpec(f"contour_gamma must be nonzero in (-pi/4, pi/4), got {gamma}")
 
     def potential(self, x):
-        tau = np.asarray(x, dtype=complex) - self.c - 1j * self.gamma
+        tau = np.asarray(x, dtype=complex) - self.c - 1j * self.contour_gamma
         csch2 = 1.0 / np.sinh(tau) ** 2
         return self.v1 * csch2 - self.v2 * csch2 * np.cosh(tau)
 
+    def _solve(self):
+        return solve_poschl_teller(self)
+
+    threshold_distance = ScarfSpec.threshold_distance
+
 
 @dataclass(frozen=True)
-class MorseSpec:
+class MorseSpec(FamilySpec):
     """V(x) = (v1r + i*v1i) * exp(-2x) - (v2r + i*v2i) * exp(-x), with v1i != 0."""
 
     v1r: float
@@ -100,8 +162,10 @@ class MorseSpec:
     v2i: float
 
     family = "morse"
+    box = MORSE_BOX
 
     def __post_init__(self):
+        super().__post_init__()
         if self.v1i == 0:
             raise InvalidSpec("complexified Morse requires v1i != 0")
 
@@ -111,15 +175,22 @@ class MorseSpec:
             self.v2r, self.v2i
         ) * np.exp(-x)
 
+    def _solve(self):
+        return solve_morse(self)
+
+    def reality_residual(self) -> float:
+        return morse_reality_residual(self)
+
 
 @dataclass(frozen=True)
-class MorseABSpec:
+class MorseABSpec(FamilySpec):
     """Morse couplings parametrized as v1 = (A + iB)**2,  v2 = (gamma_p*A, delta_p*B).
 
     With C = ((gamma_p - 1) A + i (delta_p - 1) B) / (2 (A + iB)), the levels
     take the unified form E_n = -(C - n)**2 for n < Re C, and the regularity
     condition becomes (gamma_p - 1) A**2 + (delta_p - 1) B**2 > 0.  The level
-    series is entirely real exactly when delta_p = gamma_p.
+    series is entirely real exactly when delta_p = gamma_p, which `scan`
+    crosses by sweeping delta_p.
     """
 
     A: float
@@ -128,8 +199,11 @@ class MorseABSpec:
     delta_p: float
 
     family = "morse-ab"
+    box = MORSE_BOX
+    sweep_field = "delta_p"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.A > 0:
             raise InvalidSpec(f"require A > 0, got {self.A}")
         if self.B == 0:
@@ -144,11 +218,19 @@ class MorseABSpec:
     def regularity_margin(self) -> float:
         return (self.gamma_p - 1) * self.A**2 + (self.delta_p - 1) * self.B**2
 
-    def to_morse(self) -> MorseSpec:
-        return morse_from_ab(self)
-
     def potential(self, x):
-        return self.to_morse().potential(x)
+        return morse_from_ab(self).potential(x)
+
+    def _solve(self):
+        return solve_morse(morse_from_ab(self))
+
+    def reality_residual(self) -> float:
+        return morse_reality_residual(morse_from_ab(self))
+
+
+FAMILIES: dict[str, type[FamilySpec]] = {
+    cls.family: cls for cls in (ScarfSpec, PoschlTellerSpec, MorseSpec, MorseABSpec)
+}
 
 
 def morse_from_ab(ab: MorseABSpec) -> MorseSpec:
@@ -296,7 +378,7 @@ def solve_poschl_teller(spec: PoschlTellerSpec) -> list[AlgebraicSolution]:
         else:
             b_re, b_im = 0.5 * nu * (sq_p - eps * sq_m), 0.0
         return RealizationParams(
-            PotentialClass.II, c=spec.c, gamma=spec.gamma, b_re=b_re, b_im=b_im
+            PotentialClass.II, c=spec.c, gamma=spec.contour_gamma, b_re=b_re, b_im=b_im
         )
 
     return _solve_scarf_pt(spec, realization_for_branch)
@@ -331,8 +413,6 @@ def solve_morse(spec: MorseSpec) -> list[AlgebraicSolution]:
     otherwise the complex levels come unpaired, the conjugate levels
     belonging to the conjugated potential.
     """
-    if spec.v1i == 0:
-        raise InvalidSpec("complexified Morse requires v1i != 0")
     delta = math.hypot(spec.v1r, spec.v1i)
     nu = 1.0 if spec.v1i > 0 else -1.0
     sp = math.sqrt(delta + spec.v1r)
@@ -359,28 +439,13 @@ def solve_morse(spec: MorseSpec) -> list[AlgebraicSolution]:
     ]
 
 
-def solve(spec) -> list[AlgebraicSolution]:
-    """Dispatch to the family's matching solver."""
-    if isinstance(spec, ScarfSpec):
-        return solve_scarf2(spec)
-    if isinstance(spec, PoschlTellerSpec):
-        return solve_poschl_teller(spec)
-    if isinstance(spec, MorseABSpec):
-        return solve_morse(spec.to_morse())
-    if isinstance(spec, MorseSpec):
-        return solve_morse(spec)
-    raise TypeError(f"unknown potential spec {type(spec).__name__}")
+def solve(spec: FamilySpec) -> list[AlgebraicSolution]:
+    """Every admissible branch of the family's matching equations."""
+    return spec._solve()
 
 
-def with_swept_value(spec, value: float):
-    """Return a copy of spec with its natural sweep parameter replaced.
-
-    Scarf II and Poschl-Teller sweep v2; the (A, B, gamma_p, delta_p) Morse
-    parametrization sweeps delta_p across the pseudo-Hermitian point
-    delta_p = gamma_p.
-    """
-    if isinstance(spec, (ScarfSpec, PoschlTellerSpec)):
-        return replace(spec, v2=value)
-    if isinstance(spec, MorseABSpec):
-        return replace(spec, delta_p=value)
-    raise TypeError(f"no sweep parameter defined for {type(spec).__name__}")
+def with_swept_value(spec: FamilySpec, value: float) -> FamilySpec:
+    """Return a copy of spec with its sweep field (`spec.sweep_field`) set to value."""
+    if spec.sweep_field is None:
+        raise InvalidSpec(f"family {spec.family!r} has no sweep parameter")
+    return replace(spec, **{spec.sweep_field: value})

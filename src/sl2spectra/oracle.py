@@ -60,15 +60,8 @@ class Grid:
 
 
 def default_grid(spec, n_points: int | None = None) -> Grid:
-    """Family default boxes: Scarf/Poschl-Teller [-20, 20], Morse [-4, 35].
-
-    The symmetric box is wide enough that the shallowest certified level
-    (binding momentum ~0.5) decays below 1e-4 of its peak over the outer 5%
-    of the grid; the Morse box puts a > 1e3 potential wall at the left edge.
-    """
-    if isinstance(spec, (families.MorseSpec, families.MorseABSpec)):
-        return Grid(-4.0, 35.0, n_points or DEFAULT_GRID_N)
-    return Grid(-20.0, 20.0, n_points or DEFAULT_GRID_N)
+    """The family's default box `spec.box` with n_points (default DEFAULT_GRID_N)."""
+    return Grid(*spec.box, n_points or DEFAULT_GRID_N)
 
 
 def _as_potential(potential):
@@ -177,21 +170,17 @@ def eig_complex(h_mat: np.ndarray):
 class Eigendata:
     """Sorted eigenvalues plus on-demand eigenvectors of one discretized operator.
 
-    Vectors come either from a full dense eigendecomposition or lazily from
-    inverse iteration on the pentadiagonal bands (three banded solves per
-    vector), which keeps full-spectrum verification runs inside the dense
-    eigenvalue cost.  Inverse-iteration vectors are checked against the same
-    backward-error contract as the dense path.
+    Vectors come lazily from inverse iteration on the pentadiagonal bands
+    (three banded solves per vector), which keeps full-spectrum verification
+    runs inside the dense eigenvalue cost.  Each vector is checked against
+    the same backward-error contract as the dense eig_complex path.
     """
 
-    def __init__(self, values: np.ndarray, bands: np.ndarray = None, vectors: np.ndarray = None):
+    def __init__(self, values: np.ndarray, bands: np.ndarray):
         self.values = values
         self._bands = bands
-        self._vectors = vectors
         self._cache: dict[int, np.ndarray] = {}
-        if bands is None and vectors is None:
-            raise ValueError("need either bands or precomputed vectors")
-        self._h_norm = None if bands is None else float(np.linalg.norm(bands))
+        self._h_norm = float(np.linalg.norm(bands))
 
     @classmethod
     def from_matrix(cls, h_mat: np.ndarray) -> "Eigendata":
@@ -199,8 +188,6 @@ class Eigendata:
         return cls(eigvals_complex(h_mat), bands=bands)
 
     def vector(self, index: int) -> np.ndarray:
-        if self._vectors is not None:
-            return self._vectors[:, index]
         if index not in self._cache:
             self._cache[index] = self._inverse_iteration(self.values[index])
         return self._cache[index]

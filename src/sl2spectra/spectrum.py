@@ -14,10 +14,13 @@ import numpy as np
 
 from . import families
 from .algebra import energy_level
+from .errors import InvalidSpec
 from .families import AlgebraicSolution, BranchKind
 
 PT_CHECK_TOL = 1e-10
-CONJ_TOL = 1e-12
+# Levels per branch grow like sqrt(v1).  Far past any level count the oracle
+# can resolve, enumerating them would only exhaust memory.
+MAX_LEVEL_COUNT = 10_000
 
 
 class Classification(Enum):
@@ -67,7 +70,12 @@ def level_count(n_max_exclusive: float) -> int:
 
     Counting uses a relative 1e-12 guard so a bound sitting on an integer up
     to floating-point noise excludes the boundary level deterministically.
+    A bound above MAX_LEVEL_COUNT (or not finite) raises InvalidSpec.
     """
+    if not n_max_exclusive <= MAX_LEVEL_COUNT:
+        raise InvalidSpec(
+            f"{n_max_exclusive:.6g} closed-form levels exceed the cap of {MAX_LEVEL_COUNT}"
+        )
     guard = families.REG_TOL * max(1.0, abs(n_max_exclusive))
     return max(0, math.ceil(n_max_exclusive - guard))
 
@@ -93,20 +101,6 @@ def is_pt_symmetric(spec, xs=None) -> bool:
     v_plus = spec.potential(xs)
     v_minus = spec.potential(-xs)
     return float(np.max(np.abs(np.conj(v_minus) - v_plus))) < PT_CHECK_TOL
-
-
-def _threshold_distance(spec) -> float | None:
-    if isinstance(spec, (families.ScarfSpec, families.PoschlTellerSpec)):
-        return abs(spec.v2) - (spec.v1 + 0.25)
-    return None
-
-
-def _reality_residual(spec) -> float | None:
-    if isinstance(spec, families.MorseABSpec):
-        spec = spec.to_morse()
-    if isinstance(spec, families.MorseSpec):
-        return families.morse_reality_residual(spec)
-    return None
 
 
 def _classification_of(pairs) -> Classification:
@@ -135,8 +129,8 @@ def classify(spec, branches: list[AlgebraicSolution]) -> SpectrumReport:
         branches=pairs,
         classification=classification,
         pt_symmetric=is_pt_symmetric(spec),
-        threshold_distance=_threshold_distance(spec),
-        reality_condition_residual=_reality_residual(spec),
+        threshold_distance=spec.threshold_distance(),
+        reality_condition_residual=spec.reality_residual(),
     )
 
 

@@ -184,7 +184,7 @@ def test_criterion_4_poschl_teller():
     )
     numeric = {}
     for gamma in (math.pi / 16, math.pi / 8):
-        spec = PoschlTellerSpec(9.75, 6.0, c=0.0, gamma=gamma)
+        spec = PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=gamma)
         pt_levels = sorted(
             lv.energy.real for sol in solve(spec) for lv in enumerate_levels(sol)
         )

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import math
+import time
+from dataclasses import fields, replace
 from importlib import resources
 
 import jsonschema
+import pytest
 
-from sl2spectra.cli import main
+from sl2spectra import InvalidSpec, families, oracle
+from sl2spectra.cli import _spec_from_args, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -255,3 +260,112 @@ class TestWavefunction:
         assert out == ""
         doc = json.loads(out_path.read_text())
         assert doc["family"] == "scarf2"
+
+
+SCARF = ["--family", "scarf2", "--v1", "9.75", "--v2", "6"]
+MORSE = ["--family", "morse", "--v1r", "1", "--v1i", "1", "--v2r", "1", "--v2i", "1"]
+PROFILE_HEADER = "x,re_psi,im_psi\r\n"
+PROFILES = {
+    "no_im.csv": "x,re_psi\r\n0,1\r\n",
+    "bad_number.csv": PROFILE_HEADER + "0,abc,0\r\n",
+    "zero.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},0,0\r\n" for k in range(32)),
+}
+BAD_INPUTS = {
+    "v2-nan": ["analyze", "--family", "scarf2", "--v1", "9.75", "--v2", "nan"],
+    "v1-inf": ["analyze", "--family", "scarf2", "--v1", "inf", "--v2", "6"],
+    "morse-v1i-inf": ["analyze", "--family", "morse", "--v1r", "1", "--v1i", "inf",
+                      "--v2r", "1", "--v2i", "1"],
+    "v1-1e300": ["analyze", "--family", "scarf2", "--v1", "1e300", "--v2", "6"],
+    "grid-too-coarse": ["wavefunction", *SCARF, "--n", "1", "--n-points", "100"],
+    "negative-n": ["wavefunction", *SCARF, "--n", "-1", "--n-points", "256"],
+    "no-level-from-file": ["verify", *SCARF, "--epsilon", "-1", "--n", "1",
+                           "--from-file", "{tmp}/zero.csv"],
+    "missing-file": ["verify", *SCARF, "--from-file", "{tmp}/missing.csv"],
+    "missing-column": ["verify", *SCARF, "--from-file", "{tmp}/no_im.csv"],
+    "bad-number": ["verify", *SCARF, "--from-file", "{tmp}/bad_number.csv"],
+    "zero-profile": ["verify", *SCARF, "--from-file", "{tmp}/zero.csv"],
+    "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_2(capsys, tmp_path, argv):
+    for name, text in PROFILES.items():
+        (tmp_path / name).write_text(text, newline="")
+    t0 = time.perf_counter()
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    if captured.out.strip():
+        json.loads(captured.out, parse_constant=_reject_constant)
+
+
+# One admissible spec per registered family, with every optional field off its
+# default; a family added to the registry needs an entry here.
+EXAMPLES = {
+    "scarf2": families.ScarfSpec(9.75, 6.0),
+    "poschl-teller": families.PoschlTellerSpec(9.75, -6.0, c=0.3, contour_gamma=-math.pi / 16),
+    "morse": families.MorseSpec(0.5, 2.0, 3.0, 1.5),
+    "morse-ab": families.MorseABSpec(1.0, 1.0, 3.0, 5.0),
+}
+
+
+def family_argv(spec):
+    argv = ["--family", spec.family]
+    for name, value in spec.parameters().items():
+        argv += ["--" + name.replace("_", "-"), repr(value)]
+    return argv
+
+
+@pytest.mark.parametrize("cls", families.FAMILIES.values(), ids=families.FAMILIES.keys())
+class TestFamilyContract:
+    def test_cli_round_trip(self, cls):
+        spec = EXAMPLES[cls.family]
+        assert type(spec) is cls
+        args = build_parser().parse_args(["analyze", *family_argv(spec)])
+        assert _spec_from_args(args) == spec
+
+    def test_parameters_document(self, cls, capsys):
+        spec = EXAMPLES[cls.family]
+        assert list(spec.parameters()) == [f.name for f in fields(cls)]
+        code, out = run_cli(capsys, ["analyze", *family_argv(spec)])
+        assert code in (0, 3)
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema())
+        assert doc["family"] == cls.family
+        assert list(doc["parameters"]) == list(spec.parameters())
+        assert doc["parameters"] == pytest.approx(spec.parameters(), rel=1e-14)
+
+    def test_default_grid_spans_box(self, cls):
+        grid = oracle.default_grid(EXAMPLES[cls.family])
+        assert (grid.x_min, grid.x_max) == cls.box
+
+    def test_with_swept_value(self, cls):
+        spec = EXAMPLES[cls.family]
+        if cls.sweep_field is None:
+            with pytest.raises(InvalidSpec):
+                families.with_swept_value(spec, 1.0)
+            return
+        value = getattr(spec, cls.sweep_field) + 0.5
+        swept = families.with_swept_value(spec, value)
+        assert type(swept) is cls
+        assert swept.parameters() == {**spec.parameters(), cls.sweep_field: value}
+
+    def test_non_finite_couplings_rejected(self, cls):
+        spec = EXAMPLES[cls.family]
+        for f in fields(cls):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidSpec):
+                    replace(spec, **{f.name: bad})
+
+
+def test_schema_lists_every_family():
+    assert load_schema()["properties"]["family"]["enum"] == list(families.FAMILIES)

@@ -114,7 +114,7 @@ class TestPoschlTeller:
             assert energies(neg[eps]) == energies(pos[eps])
 
     def test_contour_passthrough(self):
-        sols = solve_poschl_teller(PoschlTellerSpec(9.75, 6.0, c=0.7, gamma=math.pi / 16))
+        sols = solve_poschl_teller(PoschlTellerSpec(9.75, 6.0, c=0.7, contour_gamma=math.pi / 16))
         for sol in sols:
             assert sol.realization.c == 0.7
             assert sol.realization.gamma == math.pi / 16
@@ -123,9 +123,9 @@ class TestPoschlTeller:
         with pytest.raises(InvalidSpec):
             PoschlTellerSpec(-0.3, 1.0)
         with pytest.raises(InvalidSpec):
-            PoschlTellerSpec(1.0, 1.0, gamma=0.0)
+            PoschlTellerSpec(1.0, 1.0, contour_gamma=0.0)
         with pytest.raises(InvalidSpec):
-            PoschlTellerSpec(1.0, 1.0, gamma=math.pi / 3)
+            PoschlTellerSpec(1.0, 1.0, contour_gamma=math.pi / 3)
 
 
 class TestMorse:
@@ -203,7 +203,7 @@ def random_specs(rng, count=8):
         v2 = rng.choice([-1, 1]) * rng.uniform(0.3, v1 + 3.0)
         out.append(ScarfSpec(v1, v2))
         gamma = rng.choice([-1, 1]) * rng.uniform(math.pi / 16, math.pi / 4.5)
-        out.append(PoschlTellerSpec(v1, v2, c=rng.uniform(-1, 1), gamma=gamma))
+        out.append(PoschlTellerSpec(v1, v2, c=rng.uniform(-1, 1), contour_gamma=gamma))
         out.append(
             MorseABSpec(
                 A=rng.uniform(0.4, 2.5),

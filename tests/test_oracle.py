@@ -225,7 +225,7 @@ class TestPipeline:
         # class II eigenvalues are independent of the contour depth gamma
         results = {}
         for gamma in (math.pi / 16, math.pi / 8):
-            spec = PoschlTellerSpec(9.75, 6.0, c=0.0, gamma=gamma)
+            spec = PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=gamma)
             report = verify_spectrum(spec, grid=Grid(-18.0, 18.0, 2001), tol=2e-3)
             assert report.all_matched
             results[gamma] = [row.e_numeric for row in report.rows]

@@ -7,6 +7,7 @@ import pytest
 
 from sl2spectra import (
     Classification,
+    InvalidSpec,
     MorseABSpec,
     PoschlTellerSpec,
     ScarfSpec,
@@ -16,6 +17,7 @@ from sl2spectra import (
     solve,
 )
 from sl2spectra.spectrum import (
+    MAX_LEVEL_COUNT,
     conjugate_pair_closure,
     empty_report,
     enumerate_levels,
@@ -35,6 +37,12 @@ class TestLevelCount:
     def test_floating_point_guard(self):
         assert level_count(3.0 + 1e-15) == 3  # noise above an integer
         assert level_count(3.0 - 1e-15) == 3
+
+    def test_cap(self):
+        assert level_count(float(MAX_LEVEL_COUNT)) == MAX_LEVEL_COUNT
+        for bound in (MAX_LEVEL_COUNT + 0.5, 1e150, math.inf, math.nan):
+            with pytest.raises(InvalidSpec):
+                level_count(bound)
 
 
 class TestEnumerate:
@@ -83,8 +91,8 @@ class TestPTSymmetry:
         assert is_pt_symmetric(ScarfSpec(0.0, 5.0))
 
     def test_poschl_teller_requires_centered_contour(self):
-        assert is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=0.0, gamma=math.pi / 8))
-        assert not is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=0.5, gamma=math.pi / 8))
+        assert is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=math.pi / 8))
+        assert not is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8))
 
     def test_morse_never(self):
         assert not is_pt_symmetric(MorseABSpec(1, 1, 3, 3))
