@@ -168,6 +168,12 @@ class MorseSpec(FamilySpec):
         super().__post_init__()
         if self.v1i == 0:
             raise InvalidSpec("complexified Morse requires v1i != 0")
+        # Bounds the denominator 2*sqrt(2)*D and every numerator of
+        # solve_morse and morse_reality_residual, so none of them overflows.
+        delta, _, sp, sm = _morse_roots(self)
+        v2_size = abs(self.v2r) + abs(self.v2i) + 1.0
+        if not math.isfinite(max(1.0, 2 * math.sqrt(2) * delta) * max(1.0, sp + sm) * v2_size):
+            raise InvalidSpec("Morse couplings too large: the matching equations overflow")
 
     def potential(self, x):
         x = np.asarray(x, dtype=float)
@@ -216,7 +222,7 @@ class MorseABSpec(FamilySpec):
 
     @property
     def regularity_margin(self) -> float:
-        return (self.gamma_p - 1) * self.A**2 + (self.delta_p - 1) * self.B**2
+        return (self.gamma_p - 1) * self.A * self.A + (self.delta_p - 1) * self.B * self.B
 
     def potential(self, x):
         return morse_from_ab(self).potential(x)
@@ -234,9 +240,12 @@ FAMILIES: dict[str, type[FamilySpec]] = {
 
 
 def morse_from_ab(ab: MorseABSpec) -> MorseSpec:
-    """Exact coupling map v1r = A**2 - B**2, v1i = 2AB, v2r = gamma_p*A, v2i = delta_p*B."""
+    """Exact coupling map v1r = A**2 - B**2, v1i = 2AB, v2r = gamma_p*A, v2i = delta_p*B.
+
+    Products, not powers: an overflow becomes inf, which MorseSpec rejects.
+    """
     return MorseSpec(
-        v1r=ab.A**2 - ab.B**2,
+        v1r=ab.A * ab.A - ab.B * ab.B,
         v1i=2 * ab.A * ab.B,
         v2r=ab.gamma_p * ab.A,
         v2i=ab.delta_p * ab.B,
@@ -384,6 +393,13 @@ def solve_poschl_teller(spec: PoschlTellerSpec) -> list[AlgebraicSolution]:
     return _solve_scarf_pt(spec, realization_for_branch)
 
 
+def _morse_roots(spec: MorseSpec) -> tuple[float, float, float, float]:
+    """D = |v1r + i*v1i|, nu = sign(v1i), sqrt(v1r + D) and sqrt(-v1r + D)."""
+    delta = math.hypot(spec.v1r, spec.v1i)
+    nu = 1.0 if spec.v1i > 0 else -1.0
+    return delta, nu, math.sqrt(delta + spec.v1r), math.sqrt(delta - spec.v1r)
+
+
 def morse_reality_residual(spec: MorseSpec) -> float:
     """Relative residual of the real-spectrum condition for the Morse family.
 
@@ -391,10 +407,9 @@ def morse_reality_residual(spec: MorseSpec) -> float:
     sqrt(v1r + D) * v2i = nu * sqrt(-v1r + D) * v2r, with D = |v1r + i*v1i|
     and nu = sign(v1i); this returns |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
-    delta = math.hypot(spec.v1r, spec.v1i)
-    nu = 1.0 if spec.v1i > 0 else -1.0
-    lhs = math.sqrt(delta + spec.v1r) * spec.v2i
-    rhs = nu * math.sqrt(delta - spec.v1r) * spec.v2r
+    _, nu, sp, sm = _morse_roots(spec)
+    lhs = sp * spec.v2i
+    rhs = nu * sm * spec.v2r
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
@@ -413,10 +428,7 @@ def solve_morse(spec: MorseSpec) -> list[AlgebraicSolution]:
     otherwise the complex levels come unpaired, the conjugate levels
     belonging to the conjugated potential.
     """
-    delta = math.hypot(spec.v1r, spec.v1i)
-    nu = 1.0 if spec.v1i > 0 else -1.0
-    sp = math.sqrt(delta + spec.v1r)
-    sm = math.sqrt(delta - spec.v1r)
+    delta, nu, sp, sm = _morse_roots(spec)
     b_re = sp / math.sqrt(2)
     b_im = nu * sm / math.sqrt(2)
     denom = 2 * math.sqrt(2) * delta

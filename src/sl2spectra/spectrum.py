@@ -21,6 +21,9 @@ PT_CHECK_TOL = 1e-10
 # Levels per branch grow like sqrt(v1).  Far past any level count the oracle
 # can resolve, enumerating them would only exhaust memory.
 MAX_LEVEL_COUNT = 10_000
+# Phase-diagram sweeps take tens of samples; a range asking for more than
+# this is a mistyped step or stop, and building it would exhaust memory.
+MAX_SWEEP_SAMPLES = 100_000
 
 
 class Classification(Enum):
@@ -149,13 +152,19 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
 
     The stop sample is included when it lands within a relative 1e-9 of the
     accumulated value, which keeps ranges like 0.1:2.5:0.05 intact despite
-    floating-point accumulation.
+    floating-point accumulation.  A non-finite start, stop or step, or a
+    range of more than MAX_SWEEP_SAMPLES samples, raises InvalidSpec.
     """
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise InvalidSpec(f"sweep needs a finite start, stop and step, got {start}, {stop}, {step}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"empty range: stop {stop} < start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    samples = (stop - start) / step + 1e-9
+    if not samples < MAX_SWEEP_SAMPLES:
+        raise InvalidSpec(f"sweep of {samples:.6g} samples exceeds the cap of {MAX_SWEEP_SAMPLES}")
+    count = int(math.floor(samples)) + 1
     return [start + k * step for k in range(count)]
 
 

@@ -285,6 +285,12 @@ BAD_INPUTS = {
     "bad-number": ["verify", *SCARF, "--from-file", "{tmp}/bad_number.csv"],
     "zero-profile": ["verify", *SCARF, "--from-file", "{tmp}/zero.csv"],
     "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
+    "scan-stop-inf": ["scan", *SCARF, "--start", "0.1", "--stop", "inf", "--step", "0.5"],
+    "scan-huge-range": ["scan", *SCARF, "--start", "0", "--stop", "1e9", "--step", "1e-9"],
+    "morse-ab-A-1e200": ["analyze", "--family", "morse-ab", "--A", "1e200", "--B", "1",
+                         "--gamma-p", "3", "--delta-p", "3"],
+    "morse-v1-1e308": ["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
+                       "--v2r", "1", "--v2i", "1"],
 }
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from sl2spectra import (
     EmptyFunction,
@@ -26,7 +27,7 @@ from sl2spectra import (
     verify_spectrum,
 )
 from sl2spectra.algebra import PotentialClass, RealizationParams
-from sl2spectra.oracle import Eigendata, banded_form, banded_matvec
+from sl2spectra.oracle import Eigendata, _pt_real_form, banded_form, banded_matvec
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
 
 
@@ -125,7 +126,91 @@ class TestEig:
         assert overlap / (np.vdot(lazy, lazy).real * np.vdot(dense, dense).real) > 1 - 1e-10
 
 
+# PT-symmetric specs on boxes symmetric about 0: P conj(H) P = H holds.
+PT_CASES = {
+    "scarf-default-box": (ScarfSpec(9.75, 6.0), None),
+    "scarf-box15": (ScarfSpec(9.75, 6.0), (-15.0, 15.0)),
+    "scarf-broken": (ScarfSpec(0.0, 5.0), None),
+    "gpt-c0": (PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=math.pi / 8), None),
+}
+
+
+def _fd_matrix(spec, box=None, n_points=300):
+    return discretize(spec, Grid(*(box or spec.box), n_points))
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("case", PT_CASES)
+    def test_accepts_pt_cases(self, case):
+        assert _pt_real_form(_fd_matrix(*PT_CASES[case]))
+
+    @pytest.mark.parametrize("case", PT_CASES)
+    def test_spectrum_matches_complex_path(self, case):
+        h = _fd_matrix(*PT_CASES[case])
+        scale = np.linalg.norm(h)
+        w_real = eigvals_complex(h.copy())
+        w_ref, _ = eig_complex(h)
+        # The two solvers split nearly equal real parts differently, so their
+        # (re, im) orders can differ; compare the spectra one-to-one instead.
+        dist = np.abs(w_real[:, None] - w_ref[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() < 1e-10 * scale
+
+    @pytest.mark.parametrize("case", PT_CASES)
+    def test_spectrum_exactly_closed_under_conjugation(self, case):
+        w = eigvals_complex(_fd_matrix(*PT_CASES[case]))
+        assert np.any(w.imag != 0.0)
+        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MorseABSpec(1.0, 1.0, 3.0, 5.0), PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8)],
+        ids=["morse-ab", "gpt-c0.5"],
+    )
+    def test_rejects_non_pt_specs(self, spec):
+        assert not _pt_real_form(_fd_matrix(spec))
+
+    def test_rejects_random_matrix(self):
+        rng = np.random.default_rng(7)
+        assert not _pt_real_form(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
+
+    def test_rejects_perturbed_pt_matrix(self):
+        h = _fd_matrix(ScarfSpec(9.75, 6.0))
+        h[100, 101] += 1e-8 * np.linalg.norm(h)
+        assert not _pt_real_form(h)
+
+    def test_rejects_non_finite_matrix(self):
+        h = np.eye(40, dtype=complex)
+        h[3, 3] = h[36, 36] = np.inf  # P conj(H) P = H, but not to a finite norm
+        with np.errstate(invalid="ignore"):
+            assert not _pt_real_form(h)
+
+
+class _GivenVectors(Eigendata):
+    """Eigendata with hand-supplied eigenvectors in place of inverse iteration."""
+
+    def __init__(self, values, vectors):
+        super().__init__(values, bands=np.zeros((5, vectors.shape[0]), dtype=complex))
+        self._vectors = vectors
+
+    def vector(self, index):
+        return self._vectors[:, index]
+
+
 class TestMatching:
+    def test_conjugate_pair_tie_goes_to_negative_imaginary_member(self):
+        # 20 exact conjugate pairs sorted by (re, im); each real closed level
+        # sits at equal distance from both members of one pair.
+        k = np.arange(20)
+        re, im = -5.0 + 0.5 * k, 0.2 + 0.01 * k
+        values = np.stack([re - 1j * im, re + 1j * im], axis=1).ravel()
+        bump = np.exp(-np.linspace(-6.0, 6.0, 64) ** 2).astype(complex)
+        data = _GivenVectors(values, np.tile(bump[:, None], values.size))
+        closed = [EigenLevel(n=0, energy=complex(e), epsilon=1) for e in re]
+        report = match_levels(closed, data, tol=0.5)
+        assert report.all_matched
+        assert [r.e_numeric for r in report.rows] == list(values[::2])
+
     def test_all_levels_matched(self, scarf96_box18):
         spec, grid, closed, eigendata = scarf96_box18
         report = match_levels(closed, eigendata)

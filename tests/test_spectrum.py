@@ -18,6 +18,7 @@ from sl2spectra import (
 )
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
+    MAX_SWEEP_SAMPLES,
     conjugate_pair_closure,
     empty_report,
     enumerate_levels,
@@ -116,6 +117,14 @@ class TestSweep:
             sweep_values(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             sweep_values(1.0, 0.0, 0.1)
+
+    def test_sweep_rejects_nonfinite_and_oversized(self):
+        assert len(sweep_values(0.0, MAX_SWEEP_SAMPLES - 1.0, 1.0)) == MAX_SWEEP_SAMPLES
+        bad = [(0.0, MAX_SWEEP_SAMPLES, 1.0), (0.0, 1e9, 1e-9), (-1e308, 1e308, 1.0),
+               (0.1, math.inf, 0.5), (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan)]
+        for start, stop, step in bad:
+            with pytest.raises(InvalidSpec):
+                sweep_values(start, stop, step)
 
     def test_scarf_phase_flip(self):
         rows = scan_threshold(ScarfSpec(1.0, 1.0), 0.1, 2.5, 0.05)
