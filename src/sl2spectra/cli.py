@@ -10,8 +10,9 @@ Morse couplings that overflow the matching equations, missing family flags,
 an empty, non-finite or oversized (spectrum.MAX_SWEEP_SAMPLES) sweep range or
 a family without a sweep parameter, no level (epsilon, n), more closed-form
 levels than spectrum.MAX_LEVEL_COUNT, a grid too coarse for the requested
-profile, or a --from-file that is unreadable, lacks a column or is zero
-everywhere, or any other SpectraError);
+profile, a verify grid of more than oracle.DENSE_CAP interior points, or a
+--from-file that is unreadable, lacks a column or is zero everywhere, or any
+other SpectraError);
 3 no regular branch (analyze still emits an empty-spectrum document, the
 other commands print nothing); 4 verification mismatch; 5 eigensolver
 non-convergence.

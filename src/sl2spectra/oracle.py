@@ -15,6 +15,12 @@ Q = e^{-i pi/4} (I + iP) / sqrt(2)), so the dense eigensolve runs in real
 arithmetic with the same spectrum and a backward error of the same size.
 The choice is made from the matrix alone: any other matrix (Morse, gPT with
 c != 0, an asymmetric box) takes the complex solver.
+
+Only the dense solves need scipy, and they import it when they first run, so
+the closed-form paths (analyze, scan, wavefunction, verify --from-file) never
+load it.  `discretize` returns H in Fortran order, LAPACK's layout, and
+`eigvals_complex` overwrites it in place: a verify run holds one N x N
+complex matrix, plus an N x N real copy when the real form is solved.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import families, spectrum
 from .algebra import GridFunction
@@ -44,8 +49,9 @@ EDGE_FRACTION = 0.05
 # than the dense solver's own rounding.  The FD matrices of PT-symmetric
 # specs measure ~1e-17 here, Morse-AB ~1e-1.
 PT_TOL = 1e-14
-# Rows per block of the PT check, so that it makes no N x N temporary.
-PT_CHECK_ROWS = 64
+# Rows per block of the PT check.  Its two block temporaries, 2 x 8 x N
+# complex, stay under 3 % of H from N = 600 up; 8 rows check as fast as 64.
+PT_CHECK_ROWS = 8
 RESIDUAL_EDGE_SKIP = 5
 
 
@@ -89,18 +95,28 @@ def _as_potential(potential):
     raise TypeError(f"cannot evaluate {type(potential).__name__} as a potential")
 
 
+def _check_dense_cap(m: int) -> None:
+    if m > DENSE_CAP:
+        raise InvalidSpec(f"dense solver capped at N = {DENSE_CAP}, got {m}")
+
+
 def discretize(potential, grid: Grid) -> np.ndarray:
     """Dense H = -D2 + diag(V) on the interior points, Dirichlet at the walls.
 
     D2 is the fourth-order centered second-derivative stencil
     (-1, 16, -30, 16, -1)/(12 h^2); the two rows adjacent to each wall fall
     back to the second-order stencil, whose support fits the boundary.
+    H is a complex, Fortran-ordered (column-major) array built in one buffer,
+    the layout in which `eigvals_complex` diagonalizes it without a copy.
+    A grid with more than DENSE_CAP interior points raises InvalidSpec
+    before anything is allocated.
     """
+    m = grid.n_points - 2
+    _check_dense_cap(m)
     v = _as_potential(potential)
     xi = grid.interior
-    m = xi.size
     h = grid.spacing
-    d2 = np.zeros((m, m), dtype=complex)
+    d2 = np.zeros((m, m), dtype=complex, order="F")
     idx = np.arange(m)
     d2[idx, idx] = -30.0 / 12.0
     d2[idx[:-1], idx[:-1] + 1] = 16.0 / 12.0
@@ -118,7 +134,7 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     vals = np.asarray(v(xi), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise InvalidSpec("potential is not finite on the grid interior")
-    h_mat = -d2
+    h_mat = np.negative(d2, out=d2)
     h_mat[idx, idx] += vals
     return h_mat
 
@@ -153,8 +169,12 @@ def _pt_real_form(h_mat: np.ndarray) -> bool:
     """Whether P conj(H) P = H to PT_TOL * ||H||_F, P the reversal of the grid order.
 
     (P conj(H) P)[i, j] = conj(H[m-1-i, m-1-j]); the matrix is read in blocks
-    of PT_CHECK_ROWS rows.  A non-finite entry fails the check.
+    of PT_CHECK_ROWS rows.  A non-finite entry fails the check.  A
+    Fortran-ordered H is checked as its transpose, whose rows are contiguous:
+    P conj(H^T) P = H^T exactly when P conj(H) P = H, entry for entry.
     """
+    if h_mat.flags.f_contiguous:
+        h_mat = h_mat.T
     m = h_mat.shape[0]
     flipped = h_mat[::-1, ::-1]
     defect = sq_norm = 0.0
@@ -173,10 +193,12 @@ def eigvals_complex(h_mat: np.ndarray) -> np.ndarray:
     A = Re H - P Im H, written over the real parts of h_mat (only imaginary
     parts are read), and the real solver returns the same spectrum, with
     complex eigenvalues in exact conjugate pairs.  Any other matrix goes to
-    the complex solver unchanged.
+    the complex solver unchanged; a Fortran-ordered h_mat, as `discretize`
+    builds it, is solved in place.
     """
-    if h_mat.shape[0] > DENSE_CAP:
-        raise InvalidSpec(f"dense solver capped at N = {DENSE_CAP}, got {h_mat.shape[0]}")
+    import scipy.linalg
+
+    _check_dense_cap(h_mat.shape[0])
     if np.iscomplexobj(h_mat) and _pt_real_form(h_mat):
         np.subtract(h_mat.real, h_mat.imag[::-1, :], out=h_mat.real)
         h_mat = h_mat.real
@@ -194,8 +216,9 @@ def eig_complex(h_mat: np.ndarray):
     ||H v - lambda v|| / (||H||_F ||v||) < 1e-10; a violation (or a
     non-converging QR iteration) raises NoConvergence.
     """
-    if h_mat.shape[0] > DENSE_CAP:
-        raise InvalidSpec(f"dense solver capped at N = {DENSE_CAP}, got {h_mat.shape[0]}")
+    import scipy.linalg
+
+    _check_dense_cap(h_mat.shape[0])
     try:
         w, vecs = scipy.linalg.eig(h_mat, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -237,6 +260,8 @@ class Eigendata:
         return self._cache[index]
 
     def _inverse_iteration(self, lam: complex) -> np.ndarray:
+        import scipy.linalg
+
         m = self._bands.shape[1]
         shifted = self._bands.copy()
         shifted[2, :] -= lam

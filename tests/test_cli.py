@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -291,6 +295,7 @@ BAD_INPUTS = {
                          "--gamma-p", "3", "--delta-p", "3"],
     "morse-v1-1e308": ["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
                        "--v2r", "1", "--v2i", "1"],
+    "verify-over-dense-cap": ["verify", *SCARF, "--n-points", "4100"],
 }
 
 
@@ -312,6 +317,45 @@ def test_bad_input_exit_2(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ")
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+# Runs in a fresh interpreter: the closed-form commands, then one dense verify.
+SCIPY_PROBE = """
+import contextlib, io, json, os, sys, tempfile
+from sl2spectra import cli
+
+scarf = ["--family", "scarf2", "--v1", "9.75", "--v2", "6"]
+out = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    psi = os.path.join(tmp, "psi.csv")
+    out["closed_form_exits"] = [cli.main(argv) for argv in (
+        ["analyze", *scarf],
+        ["scan", "--family", "scarf2", "--v1", "1", "--start", "0.1", "--stop", "2.5",
+         "--step", "0.05"],
+        ["wavefunction", *scarf, "--epsilon", "1", "--n", "2", "--n-points", "4001",
+         "--output", psi],
+        ["verify", *scarf, "--from-file", psi, "--epsilon", "1", "--n", "2"],
+    )]
+    out["scipy_after_closed_form"] = "scipy" in sys.modules
+    out["dense_exit"] = cli.main(["verify", *scarf, "--n-points", "300"])
+    out["scipy_after_dense"] = "scipy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loads_only_for_a_dense_solve():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["closed_form_exits"] == [0, 0, 0, 0]
+    assert not out["scipy_after_closed_form"]
+    assert out["dense_exit"] == 0
+    assert out["scipy_after_dense"]
 
 
 # One admissible spec per registered family, with every optional field off its

@@ -1,6 +1,7 @@
 """Finite-difference oracle: discretization, dense eigensolve, level matching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from sl2spectra import (
     verify_spectrum,
 )
 from sl2spectra.algebra import PotentialClass, RealizationParams
-from sl2spectra.oracle import Eigendata, _pt_real_form, banded_form, banded_matvec
+from sl2spectra.oracle import DENSE_CAP, Eigendata, _pt_real_form, banded_form, banded_matvec
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
 
 
@@ -61,7 +62,50 @@ class TestGrid:
         assert default_grid(ScarfSpec(1.0, 1.0), 500).n_points == 500
 
 
+def _stencil_reference(potential, grid):
+    """H = -D2 + diag(V) assembled densely in C order from the documented stencil."""
+    m = grid.n_points - 2
+    d2 = (
+        np.diag(np.full(m, -30.0 / 12.0))
+        + np.diag(np.full(m - 1, 16.0 / 12.0), 1)
+        + np.diag(np.full(m - 1, 16.0 / 12.0), -1)
+        + np.diag(np.full(m - 2, -1.0 / 12.0), 2)
+        + np.diag(np.full(m - 2, -1.0 / 12.0), -2)
+    ).astype(complex)
+    for j in (0, 1, m - 2, m - 1):  # second-order rows next to the walls
+        d2[j, :] = 0.0
+        d2[j, j] = -2.0
+        for k in (j - 1, j + 1):
+            if 0 <= k < m:
+                d2[j, k] = 1.0
+    d2 /= grid.spacing * grid.spacing
+    return -d2 + np.diag(np.asarray(potential.potential(grid.interior), dtype=complex))
+
+
 class TestDiscretize:
+    @pytest.mark.parametrize(
+        "spec",
+        [ScarfSpec(9.75, 6.0), MorseABSpec(1.0, 1.0, 3.0, 5.0)],
+        ids=["scarf", "morse-ab"],
+    )
+    def test_fortran_order_and_stencil(self, spec):
+        grid = Grid(*spec.box, 300)
+        h = discretize(spec, grid)
+        assert h.dtype == np.complex128 and h.flags.f_contiguous
+        assert np.array_equal(h, _stencil_reference(spec, grid))
+
+    def test_oversized_grid_rejected_before_allocation(self):
+        grid = Grid(-20.0, 20.0, 5000)
+        assert grid.n_points - 2 > DENSE_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match="capped"):
+                discretize(ScarfSpec(9.75, 6.0), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_free_particle_box(self):
         # Dirichlet box [-1, 1]: E_k = (k pi / 2)^2
         h = discretize(lambda x: np.zeros_like(x), Grid(-1.0, 1.0, 401))
@@ -114,6 +158,19 @@ class TestEig:
         w2, _ = eig_complex(a.copy())
         assert np.max(np.abs(w1 - w2)) < 1e-10
 
+    def test_complex_solve_in_place(self):
+        # zgeev's own workspace is ~33 N complex, so N = 600 leaves room to
+        # see that the N x N matrix itself is not copied (a copy alone is 100 %)
+        h = _fd_matrix(MorseABSpec(1.0, 1.0, 3.0, 5.0), n_points=600)
+        assert not _pt_real_form(h)
+        tracemalloc.start()
+        try:
+            eigvals_complex(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * h.nbytes
+
     def test_lazy_vectors_match_dense_vectors(self):
         spec = ScarfSpec(9.75, 6.0)
         h = discretize(spec, Grid(-12.0, 12.0, 500))
@@ -139,10 +196,17 @@ def _fd_matrix(spec, box=None, n_points=300):
     return discretize(spec, Grid(*(box or spec.box), n_points))
 
 
+def _pt_check(h):
+    """_pt_real_form of h, asserted to be the same for its F- and C-ordered copies."""
+    verdict = _pt_real_form(np.asfortranarray(h))
+    assert _pt_real_form(np.ascontiguousarray(h)) == verdict
+    return verdict
+
+
 class TestRealForm:
     @pytest.mark.parametrize("case", PT_CASES)
     def test_accepts_pt_cases(self, case):
-        assert _pt_real_form(_fd_matrix(*PT_CASES[case]))
+        assert _pt_check(_fd_matrix(*PT_CASES[case]))
 
     @pytest.mark.parametrize("case", PT_CASES)
     def test_spectrum_matches_complex_path(self, case):
@@ -168,22 +232,22 @@ class TestRealForm:
         ids=["morse-ab", "gpt-c0.5"],
     )
     def test_rejects_non_pt_specs(self, spec):
-        assert not _pt_real_form(_fd_matrix(spec))
+        assert not _pt_check(_fd_matrix(spec))
 
     def test_rejects_random_matrix(self):
         rng = np.random.default_rng(7)
-        assert not _pt_real_form(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
+        assert not _pt_check(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
 
     def test_rejects_perturbed_pt_matrix(self):
         h = _fd_matrix(ScarfSpec(9.75, 6.0))
         h[100, 101] += 1e-8 * np.linalg.norm(h)
-        assert not _pt_real_form(h)
+        assert not _pt_check(h)
 
     def test_rejects_non_finite_matrix(self):
         h = np.eye(40, dtype=complex)
         h[3, 3] = h[36, 36] = np.inf  # P conj(H) P = H, but not to a finite norm
         with np.errstate(invalid="ignore"):
-            assert not _pt_real_form(h)
+            assert not _pt_check(h)
 
 
 class _GivenVectors(Eigendata):
