@@ -47,7 +47,6 @@ from .oracle import (
     boundary_decay,
     default_grid,
     discretize,
-    eig_complex,
     eigvals_complex,
     match_levels,
     residual,
@@ -99,7 +98,6 @@ __all__ = [
     "classify",
     "default_grid",
     "discretize",
-    "eig_complex",
     "eigvals_complex",
     "energy_level",
     "enumerate_levels",

@@ -9,10 +9,12 @@ Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling,
 Morse couplings that overflow the matching equations, missing family flags,
 an empty, non-finite or oversized (spectrum.MAX_SWEEP_SAMPLES) sweep range or
 a family without a sweep parameter, no level (epsilon, n), more closed-form
-levels than spectrum.MAX_LEVEL_COUNT, a grid too coarse for the requested
-profile, a verify grid of more than oracle.DENSE_CAP interior points, or a
---from-file that is unreadable, lacks a column or is zero everywhere, or any
-other SpectraError);
+levels than spectrum.MAX_LEVEL_COUNT, a grid with a non-finite end or fewer
+than 16 points (--n-points 0 included), a grid too coarse for the requested
+profile, a verify grid of more than oracle.DENSE_CAP interior points, a
+profile of more than MAX_PROFILE_POINTS points, a non-finite or non-positive
+--tol, --decay-gate or --residual-tol, or a --from-file that is unreadable,
+lacks a column or is zero everywhere, or any other SpectraError);
 3 no regular branch (analyze still emits an empty-spectrum document, the
 other commands print nothing); 4 verification mismatch; 5 eigensolver
 non-convergence.
@@ -24,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -35,6 +38,11 @@ from .algebra import GridFunction, tower_state
 from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
 
 ENV_GRID_N = "SPECTRA_DEFAULT_GRID_N"
+# Largest `wavefunction` profile.  Each point becomes a ~60-byte CSV row whose
+# strings are all held until the document is written: 1e5 points take ~1 s and
+# ~80 MB of RSS, 1e6 points ~7 s and ~520 MB.  A residual check needs a
+# spacing of 0.1 (~400 points on the default boxes); the round trip uses 4001.
+MAX_PROFILE_POINTS = 100_000
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -245,6 +253,8 @@ def _verify_from_file(config: RunConfig) -> int:
 def cmd_wavefunction(config: RunConfig) -> int:
     sol, _ = _level_for(config.spec, config.epsilon, config.n)
     grid = config.grid or oracle.default_grid(config.spec)
+    if grid.n_points > MAX_PROFILE_POINTS:
+        raise InvalidSpec(f"profile capped at {MAX_PROFILE_POINTS} points, got {grid.n_points}")
     psi = tower_state(sol.realization, sol.m, config.n, grid.points)
     table = [
         [_fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(psi.xs, psi.values)
@@ -303,6 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidSpec(f"{flag} must be finite and positive, got {value}")
+    return value
+
+
 def config_from_args(args) -> RunConfig:
     swept = families.FAMILIES[args.family].sweep_field
     if args.command == "scan" and swept and getattr(args, swept) is None:
@@ -315,10 +331,10 @@ def config_from_args(args) -> RunConfig:
         config.epsilon = args.epsilon
         config.n = args.n
     if args.command == "verify":
-        config.tol = args.tol
-        config.decay_gate = args.decay_gate
+        config.tol = _positive("--tol", args.tol)
+        config.decay_gate = _positive("--decay-gate", args.decay_gate)
         config.from_file = args.from_file
-        config.residual_tol = args.residual_tol
+        config.residual_tol = _positive("--residual-tol", args.residual_tol)
     if args.command == "scan":
         config.sweep = (args.start, args.stop, args.step)
     return config

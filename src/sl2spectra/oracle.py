@@ -19,8 +19,9 @@ c != 0, an asymmetric box) takes the complex solver.
 Only the dense solves need scipy, and they import it when they first run, so
 the closed-form paths (analyze, scan, wavefunction, verify --from-file) never
 load it.  `discretize` returns H in Fortran order, LAPACK's layout, and
-`eigvals_complex` overwrites it in place: a verify run holds one N x N
-complex matrix, plus an N x N real copy when the real form is solved.
+`eigvals_complex` diagonalizes it in its own buffer on either path (the real
+form is written over the front half of H), so a verify run holds one N x N
+matrix and no copy of it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ PT_TOL = 1e-14
 # Rows per block of the PT check.  Its two block temporaries, 2 x 8 x N
 # complex, stay under 3 % of H from N = 600 up; 8 rows check as fast as 64.
 PT_CHECK_ROWS = 8
+# Columns per block when the real form is written into H's own buffer.  The
+# one block temporary, N x 64 doubles, is 32/N of H: 5 % at N = 600.
+REAL_FORM_COLS = 64
 RESIDUAL_EDGE_SKIP = 5
 
 
@@ -64,6 +68,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"domain [{self.x_min}, {self.x_max}] is not finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"empty domain [{self.x_min}, {self.x_max}]")
         if self.n_points < 16:
@@ -84,7 +90,7 @@ class Grid:
 
 def default_grid(spec, n_points: int | None = None) -> Grid:
     """The family's default box `spec.box` with n_points (default DEFAULT_GRID_N)."""
-    return Grid(*spec.box, n_points or DEFAULT_GRID_N)
+    return Grid(*spec.box, DEFAULT_GRID_N if n_points is None else n_points)
 
 
 def _as_potential(potential):
@@ -186,52 +192,47 @@ def _pt_real_form(h_mat: np.ndarray) -> bool:
     return math.isfinite(bound) and defect <= bound
 
 
+def _real_form_in_place(h_mat: np.ndarray) -> np.ndarray:
+    """A = Re H - P Im H, written into the first N^2 doubles of h_mat's buffer.
+
+    Returns A as a Fortran-ordered real N x N view of that buffer.  Column j of
+    A needs only column j of H, and the doubles written for columns [lo, hi)
+    end at hi N, while every later source column starts at 2 hi N or beyond,
+    so no unread column is overwritten.  Each block of REAL_FORM_COLS columns
+    goes through one small temporary.  A non-Fortran-ordered h_mat is first
+    made Fortran-ordered (a copy).
+    """
+    h_mat = np.asfortranarray(h_mat)
+    m = h_mat.shape[0]
+    flat = h_mat.reshape(-1, order="F").view(h_mat.real.dtype)
+    a = flat[: m * m].reshape((m, m), order="F")
+    for lo in range(0, m, REAL_FORM_COLS):
+        cols = h_mat[:, lo : lo + REAL_FORM_COLS]
+        a[:, lo : lo + REAL_FORM_COLS] = cols.real - cols.imag[::-1, :]
+    return a
+
+
 def eigvals_complex(h_mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of the dense matrix, sorted by (re, im); destroys h_mat.
 
     A complex matrix that passes `_pt_real_form` is replaced by its real form
-    A = Re H - P Im H, written over the real parts of h_mat (only imaginary
-    parts are read), and the real solver returns the same spectrum, with
-    complex eigenvalues in exact conjugate pairs.  Any other matrix goes to
-    the complex solver unchanged; a Fortran-ordered h_mat, as `discretize`
-    builds it, is solved in place.
+    A = Re H - P Im H, compacted into the front half of h_mat's own buffer
+    (`_real_form_in_place`), and the real solver returns the same spectrum,
+    with complex eigenvalues in exact conjugate pairs.  Any other matrix goes
+    to the complex solver unchanged.  A Fortran-ordered h_mat, as `discretize`
+    builds it, is diagonalized in place on either path: the solve holds no
+    second N x N matrix.
     """
     import scipy.linalg
 
     _check_dense_cap(h_mat.shape[0])
     if np.iscomplexobj(h_mat) and _pt_real_form(h_mat):
-        np.subtract(h_mat.real, h_mat.imag[::-1, :], out=h_mat.real)
-        h_mat = h_mat.real
+        h_mat = _real_form_in_place(h_mat)
     try:
         w = scipy.linalg.eigvals(h_mat, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergence(f"dense eigenvalue iteration failed: {exc}") from exc
     return w[_sorted_by_value(w)]
-
-
-def eig_complex(h_mat: np.ndarray):
-    """All eigenpairs of the dense matrix, sorted by eigenvalue (re, im).
-
-    Every returned pair is verified against the backward-error contract
-    ||H v - lambda v|| / (||H||_F ||v||) < 1e-10; a violation (or a
-    non-converging QR iteration) raises NoConvergence.
-    """
-    import scipy.linalg
-
-    _check_dense_cap(h_mat.shape[0])
-    try:
-        w, vecs = scipy.linalg.eig(h_mat, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NoConvergence(f"dense eigenvalue iteration failed: {exc}") from exc
-    resid = h_mat @ vecs - vecs * w
-    scale = np.linalg.norm(h_mat) * np.linalg.norm(vecs, axis=0)
-    backward = np.linalg.norm(resid, axis=0) / scale
-    if np.any(backward >= BACKWARD_ERROR_TOL):
-        raise NoConvergence(
-            f"backward error {backward.max():.3e} exceeds {BACKWARD_ERROR_TOL}"
-        )
-    order = _sorted_by_value(w)
-    return w[order], vecs[:, order]
 
 
 class Eigendata:
@@ -240,7 +241,8 @@ class Eigendata:
     Vectors come lazily from inverse iteration on the pentadiagonal bands
     (three banded solves per vector), which keeps full-spectrum verification
     runs inside the dense eigenvalue cost.  Each vector is checked against
-    the same backward-error contract as the dense eig_complex path.
+    the backward-error contract ||H v - lambda v|| / (||H||_F ||v||) <
+    BACKWARD_ERROR_TOL, and a violation raises NoConvergence.
     """
 
     def __init__(self, values: np.ndarray, bands: np.ndarray):

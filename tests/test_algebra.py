@@ -22,7 +22,9 @@ from sl2spectra import (
     tower_state,
 )
 from sl2spectra.algebra import _detect_branch_cut
-from sl2spectra.oracle import Grid, discretize, eig_complex, residual
+from sl2spectra.oracle import Grid, discretize, residual
+
+from dense_reference import eig_complex
 
 
 def r_class(cls, c=0.0, gamma=0.0, b=0j):

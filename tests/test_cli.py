@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 from sl2spectra import InvalidSpec, families, oracle
-from sl2spectra.cli import _spec_from_args, build_parser, main
+from sl2spectra.cli import MAX_PROFILE_POINTS, _spec_from_args, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -296,6 +296,15 @@ BAD_INPUTS = {
     "morse-v1-1e308": ["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
                        "--v2r", "1", "--v2i", "1"],
     "verify-over-dense-cap": ["verify", *SCARF, "--n-points", "4100"],
+    "verify-n-points-0": ["verify", *SCARF, "--n-points", "0"],
+    "wavefunction-n-points-0": ["wavefunction", *SCARF, "--n-points", "0"],
+    "verify-x-max-inf": ["verify", *SCARF, "--x-max", "inf", "--n-points", "100"],
+    "verify-tol-nan": ["verify", *SCARF, "--tol", "nan", "--n-points", "100"],
+    "verify-decay-gate-negative": ["verify", *SCARF, "--decay-gate", "-1", "--n-points", "100"],
+    "verify-residual-tol-nan": ["verify", *SCARF, "--residual-tol", "nan", "--n-points", "100"],
+    "wavefunction-over-profile-cap": ["wavefunction", *SCARF,
+                                      "--n-points", str(MAX_PROFILE_POINTS + 1),
+                                      "--output", "{tmp}/f.csv"],
 }
 
 
@@ -303,12 +312,10 @@ def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exit_2(capsys, tmp_path, argv):
-    for name, text in PROFILES.items():
-        (tmp_path / name).write_text(text, newline="")
+def assert_rejected(capsys, argv):
+    """main(argv) exits 2 within 1 s, with one error line and valid JSON if any."""
     t0 = time.perf_counter()
-    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    code = main(argv)
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert code == 2
@@ -317,6 +324,18 @@ def test_bad_input_exit_2(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ")
     if captured.out.strip():
         json.loads(captured.out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_2(capsys, tmp_path, argv):
+    for name, text in PROFILES.items():
+        (tmp_path / name).write_text(text, newline="")
+    assert_rejected(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+
+
+def test_env_grid_zero_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRA_DEFAULT_GRID_N", "0")
+    assert_rejected(capsys, ["verify", *SCARF])
 
 
 # Runs in a fresh interpreter: the closed-form commands, then one dense verify.

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from sl2spectra import (
@@ -19,7 +20,6 @@ from sl2spectra import (
     boundary_decay,
     default_grid,
     discretize,
-    eig_complex,
     eigvals_complex,
     ground_state,
     match_levels,
@@ -30,6 +30,8 @@ from sl2spectra import (
 from sl2spectra.algebra import PotentialClass, RealizationParams
 from sl2spectra.oracle import DENSE_CAP, Eigendata, _pt_real_form, banded_form, banded_matvec
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
+
+from dense_reference import eig_complex
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +172,31 @@ class TestEig:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * h.nbytes
+
+    def test_real_form_solved_in_place(self):
+        # the real form is compacted into H's own buffer: only a column block
+        # and dgeev's workspace are allocated (a real N x N copy alone is 50 %)
+        h = _fd_matrix(ScarfSpec(9.75, 6.0), n_points=600)
+        assert _pt_real_form(h)
+        tracemalloc.start()
+        try:
+            eigvals_complex(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * h.nbytes
+
+    def test_real_form_bitwise_equal_to_explicit_copy(self):
+        h = _fd_matrix(ScarfSpec(9.75, 6.0), n_points=600)
+        w_ref = scipy.linalg.eigvals(np.asfortranarray(h.real - h.imag[::-1, :]))
+        w_ref = w_ref[np.lexsort((w_ref.imag, w_ref.real))]
+        assert np.array_equal(eigvals_complex(h), w_ref)
+
+    def test_real_form_of_c_ordered_matrix(self):
+        h = _fd_matrix(ScarfSpec(9.75, 6.0))
+        c_ordered = np.ascontiguousarray(h)
+        assert not c_ordered.flags.f_contiguous
+        assert np.array_equal(eigvals_complex(c_ordered), eigvals_complex(h))
 
     def test_lazy_vectors_match_dense_vectors(self):
         spec = ScarfSpec(9.75, 6.0)
