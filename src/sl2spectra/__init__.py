@@ -10,10 +10,8 @@ from .algebra import (
     GridFunction,
     PotentialClass,
     RealizationParams,
-    RepresentationLabel,
     apply_ladder,
     energy_level,
-    ground_energy,
     ground_state,
     tower_state,
 )
@@ -36,9 +34,6 @@ from .families import (
     ScarfSpec,
     morse_from_ab,
     solve,
-    solve_morse,
-    solve_poschl_teller,
-    solve_scarf2,
 )
 from .oracle import (
     Eigendata,
@@ -87,7 +82,6 @@ __all__ = [
     "PoschlTellerSpec",
     "PotentialClass",
     "RealizationParams",
-    "RepresentationLabel",
     "ScarfSpec",
     "SingularPoint",
     "SpectraError",
@@ -101,7 +95,6 @@ __all__ = [
     "eigvals_complex",
     "energy_level",
     "enumerate_levels",
-    "ground_energy",
     "ground_state",
     "is_pt_symmetric",
     "match_levels",
@@ -109,9 +102,6 @@ __all__ = [
     "residual",
     "scan_threshold",
     "solve",
-    "solve_morse",
-    "solve_poschl_teller",
-    "solve_scarf2",
     "tower_state",
     "verify_spectrum",
 ]

@@ -5,15 +5,15 @@ satisfying the coupled equations
 
     f' = 1 - f**2,        g' = -f * g,
 
-whose solution classes are
+whose solution classes, one per potential family, are
 
-    I:         f = tanh(tau),   g = b * sech(tau)
-    II:        f = coth(tau),   g = b * cosech(tau)
-    III upper: f = +1,          g = b * exp(-x)
-    III lower: f = -1,          g = b * exp(+x)
+    I   (Scarf II):        f = tanh(tau),   g = b * sech(tau)
+    II  (Poschl-Teller):   f = coth(tau),   g = b * cosech(tau)
+    III (Morse):           f = +1,          g = b * exp(-x)
 
-with tau = x - c - i*gamma and b = b_re + i*b_im.  Every member of the induced
-potential family
+with tau = x - c - i*gamma and b = b_re + i*b_im.  (The equations also admit
+f = -1, the mirror image x -> -x of class III; no family uses it.)  Every
+member of the induced potential family
 
     V_m = (1/4 - m**2) f' + 2 m g' + g**2
 
@@ -37,12 +37,11 @@ SINGULAR_EPS = 1e-12
 
 
 class PotentialClass(Enum):
-    """Realization class tag; III splits by the sign choice of f."""
+    """Realization class: I for Scarf II, II for Poschl-Teller, III_UPPER (f = +1) for Morse."""
 
     I = "I"
     II = "II"
     III_UPPER = "III_upper"
-    III_LOWER = "III_lower"
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,8 @@ class RealizationParams:
             raise ValueError(f"gamma={self.gamma} outside [-pi/4, pi/4)")
         if self.potential_class is PotentialClass.II and self.gamma == 0.0:
             raise ValueError("class II needs gamma != 0 (contour must avoid x = c)")
-        if self.potential_class in (PotentialClass.III_UPPER, PotentialClass.III_LOWER):
-            if self.c != 0.0 or self.gamma != 0.0:
-                raise ValueError("class III uses no contour shift: require c = gamma = 0")
+        if self.potential_class is PotentialClass.III_UPPER and (self.c != 0.0 or self.gamma != 0.0):
+            raise ValueError("class III uses no contour shift: require c = gamma = 0")
 
     @property
     def b(self) -> complex:
@@ -86,8 +84,7 @@ class RealizationParams:
             s = np.sinh(self.tau(x))
             self._check_singular(s)
             return np.cosh(self.tau(x)) / s
-        sign = 1.0 if cls is PotentialClass.III_UPPER else -1.0
-        return np.full_like(np.asarray(x, dtype=complex), sign)
+        return np.ones_like(np.asarray(x, dtype=complex))
 
     def g(self, x):
         """Second realization function; satisfies g' = -f * g."""
@@ -98,8 +95,7 @@ class RealizationParams:
             s = np.sinh(self.tau(x))
             self._check_singular(s)
             return self.b / s
-        sign = -1.0 if cls is PotentialClass.III_UPPER else 1.0
-        return self.b * np.exp(sign * np.asarray(x, dtype=float))
+        return self.b * np.exp(-np.asarray(x, dtype=float))
 
     def potential(self, m: complex, x):
         """Family member V_m = (1/4 - m**2) f' + 2 m g' + g**2.
@@ -119,35 +115,6 @@ class RealizationParams:
             raise SingularPoint(
                 f"contour passes within {SINGULAR_EPS} of the class-II singularity"
             )
-
-
-@dataclass(frozen=True)
-class RepresentationLabel:
-    """Tower label (m, n); the lowering-operator edge sits at k = m - n."""
-
-    m_re: float
-    m_im: float = 0.0
-    n: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n}")
-
-    @property
-    def m(self) -> complex:
-        return complex(self.m_re, self.m_im)
-
-    @property
-    def k_re(self) -> float:
-        return self.m_re - self.n
-
-    @property
-    def k_im(self) -> float:
-        return self.m_im
-
-    @property
-    def energy(self) -> complex:
-        return energy_level(self.m, self.n)
 
 
 def energy_level(m: complex, n: int) -> complex:
@@ -199,19 +166,6 @@ def _detect_branch_cut(w: np.ndarray, what: str):
         raise BranchCutCrossing(f"principal-branch argument of {what} crossed +-pi")
 
 
-def ground_energy(r: RealizationParams, m: complex) -> complex:
-    """Energy of the tower-edge state returned by ground_state.
-
-    For classes I, II and III upper this is -(m - 1/2)**2.  The lower-sign
-    class III mirrors the upper sign under x -> -x, and its regular edge
-    state (annihilated by the raising operator) sits at -(m + 1/2)**2.
-    """
-    if r.potential_class is PotentialClass.III_LOWER:
-        d = m + 0.5
-        return -(d * d)
-    return energy_level(m, 0)
-
-
 def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
     """Edge state of the tower of V_m, scaled to 1 at a reference point.
 
@@ -220,10 +174,9 @@ def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
         I:          sech(tau)**(m - 1/2) * exp(b * arctan(sinh(tau)))
         II:         sinh(tau/2)**(b - m + 1/2) * cosh(tau/2)**(-b - m + 1/2)
         III upper:  exp(-(m - 1/2) x - b exp(-x))
-        III lower:  exp(-(m + 1/2) x - b exp(+x))   (mirror of the upper sign)
 
-    The proportionality constant is fixed by value 1 at x = c (classes I/II)
-    or x = 0 (class III).  Regularity of the result is the caller's business;
+    Its energy is energy_level(m, 0).  The proportionality constant is fixed
+    by value 1 at x = c (class III has c = 0).  Regularity of the result is the caller's business;
     this routine only refuses detectable branch-cut crossings.
     """
     xs = np.asarray(xs, dtype=float)
@@ -244,16 +197,12 @@ def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
                 _detect_branch_cut(sh, "sinh(tau/2)")
                 _detect_branch_cut(ch, "cosh(tau/2)")
             return sh ** (r.b - m + 0.5) * ch ** (-r.b - m + 0.5)
-        if cls is PotentialClass.III_UPPER:
-            x = np.asarray(x, dtype=float)
-            return np.exp(-(m - 0.5) * x - r.b * np.exp(-x))
         x = np.asarray(x, dtype=float)
-        return np.exp(-(m + 0.5) * x - r.b * np.exp(x))
+        return np.exp(-(m - 0.5) * x - r.b * np.exp(-x))
 
-    x_ref = r.c if r.potential_class in (PotentialClass.I, PotentialClass.II) else 0.0
-    ref = complex(raw(np.array([x_ref]))[0])
+    ref = complex(raw(np.array([r.c]))[0])
     if ref == 0 or not cmath.isfinite(ref):
-        raise BranchCutCrossing(f"reference value at x={x_ref} is {ref}")
+        raise BranchCutCrossing(f"reference value at x={r.c} is {ref}")
     return GridFunction(xs, raw(xs) / ref)
 
 
@@ -288,12 +237,10 @@ def tower_state(r: RealizationParams, m: complex, n: int, xs) -> GridFunction:
 
     The seed is ground_state(r, m - n, xs) (value 1 at the reference point);
     each raising step is applied on the same grid, so the result is
-    unnormalized.  Only the upper-sign classes carry towers upward.
+    unnormalized.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if r.potential_class is PotentialClass.III_LOWER and n > 0:
-        raise ValueError("the mirrored class III tower is not raised by A_m+")
     m = complex(m)
     psi = ground_state(r, m - n, xs)
     for j in range(n):

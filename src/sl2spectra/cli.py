@@ -11,7 +11,8 @@ an empty, non-finite or oversized (spectrum.MAX_SWEEP_SAMPLES) sweep range or
 a family without a sweep parameter, no level (epsilon, n), more closed-form
 levels than spectrum.MAX_LEVEL_COUNT, a grid with a non-finite end or fewer
 than 16 points (--n-points 0 included), a grid too coarse for the requested
-profile, a verify grid of more than oracle.DENSE_CAP interior points, a
+profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
+spacing squared overflows or is below the smallest normal double, a
 profile of more than MAX_PROFILE_POINTS points, a non-finite or non-positive
 --tol, --decay-gate or --residual-tol, or a --from-file that is unreadable,
 lacks a column or is zero everywhere, or any other SpectraError);
@@ -166,7 +167,7 @@ def cmd_analyze(config: RunConfig) -> int:
         report = spectrum.analyze(config.spec)
         code = EXIT_OK
     except NoRegularBranch:
-        report = spectrum.empty_report(config.spec)
+        report = spectrum.classify(config.spec, [])
         code = EXIT_NO_BRANCH
     _emit(json.dumps(report_document(report), indent=2) + "\n", config.output)
     return code

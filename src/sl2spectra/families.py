@@ -106,7 +106,21 @@ class ScarfSpec(FamilySpec):
         return -self.v1 * sech**2 - 1j * self.v2 * sech * np.tanh(x)
 
     def _solve(self):
-        return solve_scarf2(self)
+        """All admissible class-I branches of the complexified Scarf II potential.
+
+        Below the critical coupling |v2| <= v1 + 1/4 the two real series are
+
+            b = i * nu * (sq_p - eps * sq_m) / 2,   m = (sq_p + eps * sq_m) / 2,
+
+        with sq_p = sqrt(v1 + 1/4 + |v2|), sq_m = sqrt(v1 + 1/4 - |v2|) and
+        nu = sign(v2); above it the branches pair into complex conjugates
+
+            b = (nu*eps*sq_m + i*nu*sq_p) / 2,      m = (sq_p + i*eps*sq_m) / 2.
+
+        Each candidate is kept only if m_re > 1/2.  At the exact threshold the
+        two real series coincide and a single merged branch is returned.
+        """
+        return _solve_scarf_pt(self, PotentialClass.I)
 
     def threshold_distance(self) -> float:
         return abs(self.v2) - (self.v1 + 0.25)
@@ -147,7 +161,15 @@ class PoschlTellerSpec(FamilySpec):
         return self.v1 * csch2 - self.v2 * csch2 * np.cosh(tau)
 
     def _solve(self):
-        return solve_poschl_teller(self)
+        """All admissible class-II branches of the generalized Poschl-Teller potential.
+
+        The Scarf II branches with b multiplied by -i: the real series carry
+        b = nu * (sq_p - eps * sq_m) / 2 (purely real) and the broken-coupling
+        branches b = nu * (sq_p - i*eps*sq_m) / 2.  The contour parameters
+        (c, gamma) pass through to the realization and leave the eigenvalue
+        series untouched.
+        """
+        return _solve_scarf_pt(self, PotentialClass.II, self.c, self.contour_gamma)
 
     threshold_distance = ScarfSpec.threshold_distance
 
@@ -169,7 +191,7 @@ class MorseSpec(FamilySpec):
         if self.v1i == 0:
             raise InvalidSpec("complexified Morse requires v1i != 0")
         # Bounds the denominator 2*sqrt(2)*D and every numerator of
-        # solve_morse and morse_reality_residual, so none of them overflows.
+        # _solve and morse_reality_residual, so none of them overflows.
         delta, _, sp, sm = _morse_roots(self)
         v2_size = abs(self.v2r) + abs(self.v2i) + 1.0
         if not math.isfinite(max(1.0, 2 * math.sqrt(2) * delta) * max(1.0, sp + sm) * v2_size):
@@ -182,7 +204,41 @@ class MorseSpec(FamilySpec):
         ) * np.exp(-x)
 
     def _solve(self):
-        return solve_morse(self)
+        """The single admissible class-III branch of the complexified Morse potential.
+
+        With D = sqrt(v1r**2 + v1i**2) and nu = sign(v1i), regularity fixes
+
+            b = [sqrt(v1r + D) + i * nu * sqrt(-v1r + D)] / sqrt(2),
+            m = [sqrt(v1r + D) - i * nu * sqrt(-v1r + D)] * (v2r + i*v2i)
+                / (2 * sqrt(2) * D),
+
+        which gives b_re > 0, and the branch exists iff m_re > 1/2, i.e.
+        sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D.  The level series
+        is real exactly when the reality residual vanishes (tolerance REG_TOL);
+        otherwise the complex levels come unpaired, the conjugate levels
+        belonging to the conjugated potential.
+        """
+        delta, nu, sp, sm = _morse_roots(self)
+        b_re = sp / math.sqrt(2)
+        b_im = nu * sm / math.sqrt(2)
+        denom = 2 * math.sqrt(2) * delta
+        m_re = (sp * self.v2r + nu * sm * self.v2i) / denom
+        m_im = (sp * self.v2i - nu * sm * self.v2r) / denom
+        if not _strictly_above(m_re, 0.5):
+            raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
+        is_real = morse_reality_residual(self) <= REG_TOL
+        return [
+            AlgebraicSolution(
+                realization=RealizationParams(
+                    PotentialClass.III_UPPER, c=0.0, gamma=0.0, b_re=b_re, b_im=b_im
+                ),
+                m_re=m_re,
+                m_im=0.0 if is_real else m_im,
+                epsilon=1,
+                n_max_exclusive=m_re - 0.5,
+                branch_kind=BranchKind.REAL_SERIES if is_real else BranchKind.COMPLEX_UNPAIRED,
+            )
+        ]
 
     def reality_residual(self) -> float:
         return morse_reality_residual(self)
@@ -215,20 +271,11 @@ class MorseABSpec(FamilySpec):
         if self.B == 0:
             raise InvalidSpec("require B != 0")
 
-    @property
-    def c_param(self) -> complex:
-        num = complex((self.gamma_p - 1) * self.A, (self.delta_p - 1) * self.B)
-        return num / (2 * complex(self.A, self.B))
-
-    @property
-    def regularity_margin(self) -> float:
-        return (self.gamma_p - 1) * self.A * self.A + (self.delta_p - 1) * self.B * self.B
-
     def potential(self, x):
         return morse_from_ab(self).potential(x)
 
     def _solve(self):
-        return solve_morse(morse_from_ab(self))
+        return morse_from_ab(self)._solve()
 
     def reality_residual(self) -> float:
         return morse_reality_residual(morse_from_ab(self))
@@ -271,12 +318,9 @@ class AlgebraicSolution:
     def __post_init__(self):
         if not _strictly_above(self.m_re, 0.5):
             raise ValueError(f"regularity m_re > 1/2 violated: m_re = {self.m_re}")
-        cls = self.realization.potential_class
-        if cls in (PotentialClass.III_UPPER, PotentialClass.III_LOWER):
-            if not _strictly_above(self.realization.b_re, 0.0):
-                raise ValueError(
-                    f"class III regularity b_re > 0 violated: {self.realization.b_re}"
-                )
+        r = self.realization
+        if r.potential_class is PotentialClass.III_UPPER and not _strictly_above(r.b_re, 0.0):
+            raise ValueError(f"class III regularity b_re > 0 violated: {r.b_re}")
         if (self.branch_kind is BranchKind.REAL_SERIES) != (self.m_im == 0.0):
             raise ValueError("RealSeries tag must coincide with m_im == 0")
 
@@ -304,93 +348,47 @@ def coupling_regime(v1: float, v2: float) -> tuple[str, float, float]:
     return "complex", math.sqrt(s + a), math.sqrt(diff)
 
 
-def _solve_scarf_pt(spec, realization_for_branch) -> list[AlgebraicSolution]:
-    """Shared branch enumeration for the Scarf II / Poschl-Teller matching systems."""
+def _solve_scarf_pt(spec, potential_class, c=0.0, gamma=0.0) -> list[AlgebraicSolution]:
+    """Branches of the Scarf II (class I) or Poschl-Teller (class II) matching system.
+
+    Both share m; b is the Scarf II amplitude, times -i for Poschl-Teller.
+    """
     regime, sq_p, sq_m = coupling_regime(spec.v1, spec.v2)
-    out = []
+    nu = 1.0 if spec.v2 > 0 else -1.0
     if regime == "complex":
-        m_re = 0.5 * sq_p
-        if _strictly_above(m_re, 0.5):
-            for eps in (1, -1):
-                out.append(
-                    AlgebraicSolution(
-                        realization=realization_for_branch(regime, eps, sq_p, sq_m),
-                        m_re=m_re,
-                        m_im=0.5 * eps * sq_m,
-                        epsilon=eps,
-                        n_max_exclusive=m_re - 0.5,
-                        branch_kind=BranchKind.COMPLEX_PAIR_MEMBER,
-                    )
-                )
+        kind = BranchKind.COMPLEX_PAIR_MEMBER
+        series = [
+            (eps, 0.5 * sq_p, 0.5 * eps * sq_m, complex(0.5 * nu * eps * sq_m, 0.5 * nu * sq_p))
+            for eps in (1, -1)
+        ]
     else:
+        kind = BranchKind.REAL_SERIES
         # At the exact threshold the eps = +-1 series coincide; keep one.
-        for eps in (1,) if regime == "threshold" else (1, -1):
-            m_re = 0.5 * (sq_p + eps * sq_m)
-            if not _strictly_above(m_re, 0.5):
-                continue
-            out.append(
-                AlgebraicSolution(
-                    realization=realization_for_branch(regime, eps, sq_p, sq_m),
-                    m_re=m_re,
-                    m_im=0.0,
-                    epsilon=eps,
-                    n_max_exclusive=m_re - 0.5,
-                    branch_kind=BranchKind.REAL_SERIES,
-                )
+        series = [
+            (eps, 0.5 * (sq_p + eps * sq_m), 0.0, complex(0.0, 0.5 * nu * (sq_p - eps * sq_m)))
+            for eps in ((1,) if regime == "threshold" else (1, -1))
+        ]
+    out = []
+    for eps, m_re, m_im, b in series:
+        if not _strictly_above(m_re, 0.5):
+            continue
+        if potential_class is PotentialClass.II:
+            b = complex(b.imag, 0.0 - b.real)  # b_PT = -i * b_Scarf, with no -0.0 part
+        out.append(
+            AlgebraicSolution(
+                realization=RealizationParams(
+                    potential_class, c=c, gamma=gamma, b_re=b.real, b_im=b.imag
+                ),
+                m_re=m_re,
+                m_im=m_im,
+                epsilon=eps,
+                n_max_exclusive=m_re - 0.5,
+                branch_kind=kind,
             )
+        )
     if not out:
         raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {spec}")
     return out
-
-
-def solve_scarf2(spec: ScarfSpec) -> list[AlgebraicSolution]:
-    """All admissible class-I branches of the complexified Scarf II potential.
-
-    Below the critical coupling |v2| <= v1 + 1/4 the two real series are
-
-        b = i * nu * (sq_p - eps * sq_m) / 2,   m = (sq_p + eps * sq_m) / 2,
-
-    with sq_p = sqrt(v1 + 1/4 + |v2|), sq_m = sqrt(v1 + 1/4 - |v2|) and
-    nu = sign(v2); above it the branches pair into complex conjugates
-
-        b = (nu*eps*sq_m + i*nu*sq_p) / 2,      m = (sq_p + i*eps*sq_m) / 2.
-
-    Each candidate is kept only if m_re > 1/2.  At the exact threshold the
-    two real series coincide and a single merged branch is returned.
-    """
-    nu = 1.0 if spec.v2 > 0 else -1.0
-
-    def realization_for_branch(regime, eps, sq_p, sq_m):
-        if regime == "complex":
-            b_re, b_im = 0.5 * nu * eps * sq_m, 0.5 * nu * sq_p
-        else:
-            b_re, b_im = 0.0, 0.5 * nu * (sq_p - eps * sq_m)
-        return RealizationParams(PotentialClass.I, c=0.0, gamma=0.0, b_re=b_re, b_im=b_im)
-
-    return _solve_scarf_pt(spec, realization_for_branch)
-
-
-def solve_poschl_teller(spec: PoschlTellerSpec) -> list[AlgebraicSolution]:
-    """All admissible class-II branches of the generalized Poschl-Teller potential.
-
-    Mirrors solve_scarf2 with the roles of b_re and b_im exchanged: the real
-    series carry b = nu * (sq_p - eps * sq_m) / 2 (purely real) and the
-    broken-coupling branches b = nu * (sq_p - i*eps*sq_m) / 2.  The contour
-    parameters (c, gamma) pass through to the realization and leave the
-    eigenvalue series untouched.
-    """
-    nu = 1.0 if spec.v2 > 0 else -1.0
-
-    def realization_for_branch(regime, eps, sq_p, sq_m):
-        if regime == "complex":
-            b_re, b_im = 0.5 * nu * sq_p, -0.5 * nu * eps * sq_m
-        else:
-            b_re, b_im = 0.5 * nu * (sq_p - eps * sq_m), 0.0
-        return RealizationParams(
-            PotentialClass.II, c=spec.c, gamma=spec.contour_gamma, b_re=b_re, b_im=b_im
-        )
-
-    return _solve_scarf_pt(spec, realization_for_branch)
 
 
 def _morse_roots(spec: MorseSpec) -> tuple[float, float, float, float]:
@@ -411,44 +409,6 @@ def morse_reality_residual(spec: MorseSpec) -> float:
     lhs = sp * spec.v2i
     rhs = nu * sm * spec.v2r
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def solve_morse(spec: MorseSpec) -> list[AlgebraicSolution]:
-    """The single admissible class-III branch of the complexified Morse potential.
-
-    With D = sqrt(v1r**2 + v1i**2) and nu = sign(v1i), regularity fixes
-
-        b = [sqrt(v1r + D) + i * nu * sqrt(-v1r + D)] / sqrt(2),
-        m = [sqrt(v1r + D) - i * nu * sqrt(-v1r + D)] * (v2r + i*v2i)
-            / (2 * sqrt(2) * D),
-
-    which gives b_re > 0, and the branch exists iff m_re > 1/2, i.e.
-    sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D.  The level series
-    is real exactly when the reality residual vanishes (tolerance REG_TOL);
-    otherwise the complex levels come unpaired, the conjugate levels
-    belonging to the conjugated potential.
-    """
-    delta, nu, sp, sm = _morse_roots(spec)
-    b_re = sp / math.sqrt(2)
-    b_im = nu * sm / math.sqrt(2)
-    denom = 2 * math.sqrt(2) * delta
-    m_re = (sp * spec.v2r + nu * sm * spec.v2i) / denom
-    m_im = (sp * spec.v2i - nu * sm * spec.v2r) / denom
-    if not _strictly_above(m_re, 0.5):
-        raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
-    is_real = morse_reality_residual(spec) <= REG_TOL
-    return [
-        AlgebraicSolution(
-            realization=RealizationParams(
-                PotentialClass.III_UPPER, c=0.0, gamma=0.0, b_re=b_re, b_im=b_im
-            ),
-            m_re=m_re,
-            m_im=0.0 if is_real else m_im,
-            epsilon=1,
-            n_max_exclusive=m_re - 0.5,
-            branch_kind=BranchKind.REAL_SERIES if is_real else BranchKind.COMPLEX_UNPAIRED,
-        )
-    ]
 
 
 def solve(spec: FamilySpec) -> list[AlgebraicSolution]:

@@ -27,6 +27,7 @@ matrix and no copy of it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +115,17 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     back to the second-order stencil, whose support fits the boundary.
     H is a complex, Fortran-ordered (column-major) array built in one buffer,
     the layout in which `eigvals_complex` diagonalizes it without a copy.
-    A grid with more than DENSE_CAP interior points raises InvalidSpec
-    before anything is allocated.
+    A grid with more than DENSE_CAP interior points, or whose h^2 overflows
+    or falls below the smallest normal double, raises InvalidSpec before
+    anything is allocated or the potential is evaluated.
     """
     m = grid.n_points - 2
     _check_dense_cap(m)
+    h = grid.spacing
+    if not sys.float_info.min <= h * h < math.inf:
+        raise InvalidSpec(f"grid spacing {h:.6g} puts h^2 outside the normal double range")
     v = _as_potential(potential)
     xi = grid.interior
-    h = grid.spacing
     d2 = np.zeros((m, m), dtype=complex, order="F")
     idx = np.arange(m)
     d2[idx, idx] = -30.0 / 12.0

@@ -40,7 +40,6 @@ class EigenLevel:
     n: int
     energy: complex
     epsilon: int
-    regular: bool = True
 
 
 @dataclass
@@ -140,11 +139,6 @@ def classify(spec, branches: list[AlgebraicSolution]) -> SpectrumReport:
 def analyze(spec) -> SpectrumReport:
     """Solve a family spec and classify the result; NoRegularBranch propagates."""
     return classify(spec, families.solve(spec))
-
-
-def empty_report(spec) -> SpectrumReport:
-    """Report for a spec whose regularity conditions reject every branch."""
-    return classify(spec, [])
 
 
 def sweep_values(start: float, stop: float, step: float) -> list[float]:

@@ -26,7 +26,7 @@ from sl2spectra import (
     apply_ladder,
     discretize,
     eigvals_complex,
-    ground_energy,
+    energy_level,
     ground_state,
     residual,
     solve,
@@ -263,7 +263,7 @@ def test_criterion_6_property_suites(scarf96_box15):
         r = RealizationParams(cls, c=0.0, gamma=gamma, b_re=b.real, b_im=b.imag)
         xs_l = np.linspace(dom[0], dom[1], n)
         raised = apply_ladder(ground_state(r, m, xs_l), m, r)
-        res = residual(raised, lambda x: r.potential(m + 1, x), ground_energy(r, m))
+        res = residual(raised, lambda x: r.potential(m + 1, x), energy_level(m, 0))
         assert res < 1e-5, f"intertwining {cls}"
 
     # conjugate-pair closure of the broken-phase multiset, < 1e-12

@@ -12,12 +12,10 @@ from sl2spectra import (
     GridTooCoarse,
     PotentialClass,
     RealizationParams,
-    RepresentationLabel,
     ScarfSpec,
     SingularPoint,
     apply_ladder,
     energy_level,
-    ground_energy,
     ground_state,
     tower_state,
 )
@@ -43,8 +41,6 @@ class TestRealizationFunctions:
 
         r3 = r_class(PotentialClass.III_UPPER, b=1 + 0j)
         assert r3.f(3.7) == 1.0
-        r3l = r_class(PotentialClass.III_LOWER, b=1 + 0j)
-        assert r3l.f(-2.0) == -1.0
 
         # tanh(-i pi/8) = -i tan(pi/8), tan(pi/8) = sqrt(2) - 1
         r8 = r_class(PotentialClass.I, gamma=math.pi / 8)
@@ -123,15 +119,6 @@ class TestRealizationFunctions:
         assert energy_level(0.5, 0) == 0
         assert abs(energy_level(3.0, 0) - (-6.25)) < 1e-15
         assert abs(energy_level(complex(2, 0.5), 0) - (-2 - 1.5j)) < 1e-14
-        label = RepresentationLabel(m_re=3.0, m_im=0.0, n=2)
-        assert abs(label.energy - (-0.25)) < 1e-15
-        assert label.k_re == 1.0 and label.k_im == 0.0
-
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            RepresentationLabel(m_re=1.0, n=-1)
-        with pytest.raises(ValueError):
-            RepresentationLabel(m_re=1.0, n=0.5)
 
 
 class TestGroundState:
@@ -165,7 +152,7 @@ class TestGroundState:
         r = r_class(PotentialClass.I, b=1j)
         xs = np.linspace(-10, 10, 4001)
         psi = ground_state(r, 3.0, xs)
-        res = residual(psi, lambda x: r.potential(3.0, x), ground_energy(r, 3.0))
+        res = residual(psi, lambda x: r.potential(3.0, x), energy_level(3.0, 0))
         assert res < 1e-6
 
     @pytest.mark.parametrize(
@@ -176,14 +163,13 @@ class TestGroundState:
             (PotentialClass.II, -math.pi / 8, 1 + 0j, 3.0, (-12, 12), 9601),
             (PotentialClass.III_UPPER, 0.0, 1 + 1j, 1.5, (-4, 30), 6801),
             (PotentialClass.III_UPPER, 0.0, 1 + 1j, 2 + 0.5j, (-4, 30), 6801),
-            (PotentialClass.III_LOWER, 0.0, 1 + 1j, -1.5, (-30, 4), 6801),
         ],
     )
     def test_residual_all_classes(self, cls, gamma, b, m, dom, n):
         r = r_class(cls, gamma=gamma, b=b)
         xs = np.linspace(dom[0], dom[1], n)
         psi = ground_state(r, m, xs)
-        res = residual(psi, lambda x: r.potential(m, x), ground_energy(r, m))
+        res = residual(psi, lambda x: r.potential(m, x), energy_level(m, 0))
         assert res < 1e-5
 
     def test_complex_branch_residual(self):
@@ -246,7 +232,7 @@ class TestLadder:
         xs = np.linspace(dom[0], dom[1], n)
         psi = ground_state(r, m, xs)
         raised = apply_ladder(psi, m, r)
-        e = ground_energy(r, m)
+        e = energy_level(m, 0)
         assert residual(raised, lambda x: r.potential(m + 1, x), e) < 1e-5
 
     def test_tower_state_seed(self):
@@ -276,8 +262,3 @@ class TestLadder:
         overlap = abs(np.vdot(phi, ref)) ** 2
         norms = np.vdot(phi, phi).real * np.vdot(ref, ref).real
         assert overlap / norms > 1 - 1e-6
-
-    def test_lower_sign_tower_not_raised(self):
-        r = r_class(PotentialClass.III_LOWER, b=1 + 1j)
-        with pytest.raises(ValueError):
-            tower_state(r, -1.5, 1, np.linspace(-10, 2, 500))

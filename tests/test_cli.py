@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sl2spectra import InvalidSpec, families, oracle
+from sl2spectra import InvalidSpec, PotentialClass, families, oracle
 from sl2spectra.cli import MAX_PROFILE_POINTS, _spec_from_args, build_parser, main
 
 
@@ -299,6 +300,12 @@ BAD_INPUTS = {
     "verify-n-points-0": ["verify", *SCARF, "--n-points", "0"],
     "wavefunction-n-points-0": ["wavefunction", *SCARF, "--n-points", "0"],
     "verify-x-max-inf": ["verify", *SCARF, "--x-max", "inf", "--n-points", "100"],
+    "verify-spacing-overflow": ["verify", *SCARF, "--x-min=-1e300", "--x-max=1e300",
+                                "--n-points", "100"],
+    "verify-spacing-underflow": ["verify", *SCARF, "--x-min", "1e-300", "--x-max", "2e-300",
+                                 "--n-points", "100"],
+    "verify-spacing-subnormal": ["verify", *SCARF, "--x-min", "1e-158", "--x-max", "1.99e-158",
+                                 "--n-points", "100"],
     "verify-tol-nan": ["verify", *SCARF, "--tol", "nan", "--n-points", "100"],
     "verify-decay-gate-negative": ["verify", *SCARF, "--decay-gate", "-1", "--n-points", "100"],
     "verify-residual-tol-nan": ["verify", *SCARF, "--residual-tol", "nan", "--n-points", "100"],
@@ -313,11 +320,14 @@ def _reject_constant(token):
 
 
 def assert_rejected(capsys, argv):
-    """main(argv) exits 2 within 1 s, with one error line and valid JSON if any."""
+    """main(argv) exits 2 within 1 s, warning-free, with one error line and valid JSON if any."""
     t0 = time.perf_counter()
-    code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
     assert code == 2
     assert elapsed < 1.0
     assert "Traceback" not in captured.err
@@ -437,4 +447,7 @@ class TestFamilyContract:
 
 
 def test_schema_lists_every_family():
-    assert load_schema()["properties"]["family"]["enum"] == list(families.FAMILIES)
+    schema = load_schema()
+    assert schema["properties"]["family"]["enum"] == list(families.FAMILIES)
+    branch = schema["properties"]["branches"]["items"]["properties"]
+    assert branch["potential_class"]["enum"] == [c.value for c in PotentialClass]

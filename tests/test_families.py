@@ -16,8 +16,6 @@ from sl2spectra import (
     ScarfSpec,
     morse_from_ab,
     solve,
-    solve_poschl_teller,
-    solve_scarf2,
 )
 from sl2spectra.families import morse_reality_residual
 from sl2spectra.spectrum import enumerate_levels
@@ -33,7 +31,7 @@ def energies(sol):
 
 class TestScarf:
     def test_two_real_series(self):
-        sols = by_epsilon(solve_scarf2(ScarfSpec(9.75, 6.0)))
+        sols = by_epsilon(solve(ScarfSpec(9.75, 6.0)))
         plus, minus = sols[1], sols[-1]
         assert plus.m_re == 3.0 and plus.m_im == 0.0
         assert minus.m_re == 1.0 and minus.m_im == 0.0
@@ -47,13 +45,13 @@ class TestScarf:
 
     def test_boundary_branch_rejected(self):
         # eps=-1 gives m_re = 0.5 exactly, which is not strictly above 1/2
-        sols = solve_scarf2(ScarfSpec(6.25, 2.5))
+        sols = solve(ScarfSpec(6.25, 2.5))
         assert len(sols) == 1 and sols[0].epsilon == 1
         assert sols[0].m_re == 2.5
         assert np.allclose(energies(sols[0]), [-4.0, -1.0], atol=1e-14)
 
     def test_broken_coupling_pair(self):
-        sols = by_epsilon(solve_scarf2(ScarfSpec(0.0, 5.0)))
+        sols = by_epsilon(solve(ScarfSpec(0.0, 5.0)))
         sq_p, sq_m = math.sqrt(5.25), math.sqrt(4.75)
         for eps, sol in sols.items():
             assert sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER
@@ -64,7 +62,7 @@ class TestScarf:
         assert abs(e_plus - np.conj(e_minus)) < 1e-12
 
     def test_threshold_merges_series(self):
-        sols = solve_scarf2(ScarfSpec(1.0, 1.25))
+        sols = solve(ScarfSpec(1.0, 1.25))
         assert len(sols) == 1
         sol = sols[0]
         assert sol.branch_kind is BranchKind.REAL_SERIES
@@ -74,9 +72,9 @@ class TestScarf:
 
     def test_no_regular_branch(self):
         with pytest.raises(NoRegularBranch):
-            solve_scarf2(ScarfSpec(0.0, 0.05))  # real side, both m too small
+            solve(ScarfSpec(0.0, 0.05))  # real side, both m too small
         with pytest.raises(NoRegularBranch):
-            solve_scarf2(ScarfSpec(0.0, 0.3))  # broken side, sq_p < 1
+            solve(ScarfSpec(0.0, 0.3))  # broken side, sq_p < 1
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
@@ -87,7 +85,7 @@ class TestScarf:
 
 class TestPoschlTeller:
     def test_real_series_mirror_scarf(self):
-        sols = by_epsilon(solve_poschl_teller(PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)))
+        sols = by_epsilon(solve(PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)))
         assert sols[1].m_re == 3.0 and sols[-1].m_re == 1.0
         assert sols[1].realization.b == 1.0 + 0j
         assert sols[-1].realization.b == 3.0 + 0j
@@ -96,7 +94,7 @@ class TestPoschlTeller:
         assert np.allclose(energies(sols[-1]), [-0.25], atol=1e-14)
 
     def test_broken_coupling_pair(self):
-        sols = by_epsilon(solve_poschl_teller(PoschlTellerSpec(0.0, 5.0, 0.0, -math.pi / 8)))
+        sols = by_epsilon(solve(PoschlTellerSpec(0.0, 5.0, 0.0, -math.pi / 8)))
         sq_p, sq_m = math.sqrt(5.25), math.sqrt(4.75)
         for eps, sol in sols.items():
             assert sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER
@@ -106,15 +104,15 @@ class TestPoschlTeller:
         assert abs(energies(sols[1])[0] - np.conj(energies(sols[-1])[0])) < 1e-12
 
     def test_negative_v2_flips_amplitude_only(self):
-        pos = by_epsilon(solve_poschl_teller(PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)))
-        neg = by_epsilon(solve_poschl_teller(PoschlTellerSpec(9.75, -6.0, 0.0, math.pi / 8)))
+        pos = by_epsilon(solve(PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)))
+        neg = by_epsilon(solve(PoschlTellerSpec(9.75, -6.0, 0.0, math.pi / 8)))
         for eps in (1, -1):
             assert neg[eps].realization.b_re == -pos[eps].realization.b_re
             assert neg[eps].m_re == pos[eps].m_re
             assert energies(neg[eps]) == energies(pos[eps])
 
     def test_contour_passthrough(self):
-        sols = solve_poschl_teller(PoschlTellerSpec(9.75, 6.0, c=0.7, contour_gamma=math.pi / 16))
+        sols = solve(PoschlTellerSpec(9.75, 6.0, c=0.7, contour_gamma=math.pi / 16))
         for sol in sols:
             assert sol.realization.c == 0.7
             assert sol.realization.gamma == math.pi / 16
@@ -132,17 +130,12 @@ class TestMorse:
     def test_ab_map_hand_values(self):
         spec = morse_from_ab(MorseABSpec(1.0, 1.0, 3.0, 3.0))
         assert (spec.v1r, spec.v1i, spec.v2r, spec.v2i) == (0.0, 2.0, 3.0, 3.0)
-        assert MorseABSpec(1.0, 1.0, 3.0, 3.0).c_param == 1.0 + 0j
 
         spec2 = morse_from_ab(MorseABSpec(2.0, -1.0, 1.0, 1.0))
         assert (spec2.v1r, spec2.v1i, spec2.v2r, spec2.v2i) == (3.0, -4.0, 2.0, -1.0)
-        ab2 = MorseABSpec(2.0, -1.0, 1.0, 1.0)
-        assert ab2.c_param == 0j
-        assert ab2.regularity_margin == 0.0
 
         ab3 = MorseABSpec(1.0, 1.0, 1.0, 1.0)
         assert morse_from_ab(ab3) == MorseSpec(0.0, 2.0, 1.0, 1.0)
-        assert ab3.c_param == 0j
 
     def test_pseudo_hermitian_point(self):
         sols = solve(MorseABSpec(1.0, 1.0, 3.0, 3.0))
@@ -243,12 +236,12 @@ class TestProperties:
     def test_branch_dichotomy_across_threshold(self):
         v1 = 1.0
         for v2 in np.arange(0.3, 2.51, 0.1):
-            kinds = {s.branch_kind for s in solve_scarf2(ScarfSpec(v1, float(v2)))}
+            kinds = {s.branch_kind for s in solve(ScarfSpec(v1, float(v2)))}
             if v2 < 1.25 - 1e-9:
                 assert kinds == {BranchKind.REAL_SERIES}
             elif v2 > 1.25 + 1e-9:
                 assert kinds == {BranchKind.COMPLEX_PAIR_MEMBER}
-        assert {s.branch_kind for s in solve_scarf2(ScarfSpec(1.0, 1.25))} == {
+        assert {s.branch_kind for s in solve(ScarfSpec(1.0, 1.25))} == {
             BranchKind.REAL_SERIES
         }
 
@@ -271,5 +264,5 @@ class TestProperties:
             for sol in sols:
                 assert sol.m_re > 0.5
                 cls = sol.realization.potential_class
-                if cls in (PotentialClass.III_UPPER, PotentialClass.III_LOWER):
+                if cls is PotentialClass.III_UPPER:
                     assert sol.realization.b_re > 0

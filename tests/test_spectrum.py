@@ -19,8 +19,8 @@ from sl2spectra import (
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
     MAX_SWEEP_SAMPLES,
+    classify,
     conjugate_pair_closure,
-    empty_report,
     enumerate_levels,
     level_count,
     sweep_values,
@@ -52,7 +52,6 @@ class TestEnumerate:
         assert [lv.energy for lv in enumerate_levels(sols[1])] == [-6.25, -2.25, -0.25]
         assert [lv.n for lv in enumerate_levels(sols[1])] == [0, 1, 2]
         assert [lv.energy for lv in enumerate_levels(sols[-1])] == [-0.25]
-        assert all(lv.regular for lv in enumerate_levels(sols[1]))
 
     def test_morse_complex_series(self):
         sol = solve(MorseABSpec(1, 1, 3, 5))[0]
@@ -81,7 +80,7 @@ class TestClassify:
         assert report.reality_condition_residual > 1e-3
 
     def test_empty(self):
-        report = empty_report(MorseABSpec(1, 1, 1, 1))
+        report = classify(MorseABSpec(1, 1, 1, 1), [])
         assert report.classification is Classification.EMPTY
         assert report.branches == []
 
