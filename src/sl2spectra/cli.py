@@ -3,7 +3,9 @@
 All numeric output uses 15 significant digits with '.' decimals, JSON
 documents follow schemas/spectrum_report.v1.json, and CSV output is
 RFC-4180-style (CRLF, header row).  Identical configurations produce
-byte-identical output.
+byte-identical output.  The `analyze` text is, byte for byte, what the
+stdlib's json.dumps writes for the document with a two-space indent, plus a
+newline; `_json_text` writes it.
 
 Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling,
 Morse couplings that overflow the matching equations, missing family flags,
@@ -12,10 +14,11 @@ a family without a sweep parameter, no level (epsilon, n), more closed-form
 levels than spectrum.MAX_LEVEL_COUNT, a grid with a non-finite end or fewer
 than 16 points (--n-points 0 included), a grid too coarse for the requested
 profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
-spacing squared overflows or is below the smallest normal double, a
-profile of more than MAX_PROFILE_POINTS points, a non-finite or non-positive
---tol, --decay-gate or --residual-tol, or a --from-file that is unreadable,
-lacks a column or is zero everywhere, or any other SpectraError);
+spacing h has an h^2 or 1/h^4 that overflows or is below the smallest normal
+double (a box as wide as +-1e80 at 100 points), a profile of more than
+MAX_PROFILE_POINTS points, a non-finite or non-positive --tol, --decay-gate
+or --residual-tol, or a --from-file that is unreadable, lacks a column or is
+zero everywhere, or any other SpectraError);
 3 no regular branch (analyze still emits an empty-spectrum document, the
 other commands print nothing); 4 verification mismatch; 5 eigensolver
 non-convergence.
@@ -58,7 +61,7 @@ def _fmt(x: float) -> str:
 
 
 def _round15(x: float) -> float:
-    return float(_fmt(x))
+    return float(f"{x + 0.0:.15g}")  # the digits _fmt writes, one call fewer per number
 
 
 @dataclass
@@ -146,6 +149,44 @@ def report_document(report: spectrum.SpectrumReport) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps of a dict/list/str/int/float/bool/None tree, indented by two spaces.
+
+    CPython's C encoder cannot indent, so an indented json.dumps runs the
+    stdlib's generator-based pure-Python encoder; this writer emits the same
+    bytes at a fraction of its cost.  Dict keys must be str.
+    """
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(text: str, output: str | None):
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -169,7 +210,7 @@ def cmd_analyze(config: RunConfig) -> int:
     except NoRegularBranch:
         report = spectrum.classify(config.spec, [])
         code = EXIT_NO_BRANCH
-    _emit(json.dumps(report_document(report), indent=2) + "\n", config.output)
+    _emit(_json_text(report_document(report)) + "\n", config.output)
     return code
 
 

@@ -115,15 +115,20 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     back to the second-order stencil, whose support fits the boundary.
     H is a complex, Fortran-ordered (column-major) array built in one buffer,
     the layout in which `eigvals_complex` diagonalizes it without a copy.
-    A grid with more than DENSE_CAP interior points, or whose h^2 overflows
-    or falls below the smallest normal double, raises InvalidSpec before
-    anything is allocated or the potential is evaluated.
+    A grid with more than DENSE_CAP interior points, or whose h^2 or 1/h^4
+    overflows or falls below the smallest normal double, raises InvalidSpec
+    before anything is allocated or the potential is evaluated.
     """
     m = grid.n_points - 2
     _check_dense_cap(m)
-    h = grid.spacing
-    if not sys.float_info.min <= h * h < math.inf:
-        raise InvalidSpec(f"grid spacing {h:.6g} puts h^2 outside the normal double range")
+    h = float(grid.spacing)
+    h2 = h * h
+    tiny = sys.float_info.min
+    # Eigendata's Frobenius norm squares the stencil entries ~1/h^2
+    if not (tiny <= h2 < math.inf and tiny <= (1.0 / h2) * (1.0 / h2) < math.inf):
+        raise InvalidSpec(
+            f"grid spacing {h:.6g} puts h^2 or 1/h^4 outside the normal double range"
+        )
     v = _as_potential(potential)
     xi = grid.interior
     d2 = np.zeros((m, m), dtype=complex, order="F")

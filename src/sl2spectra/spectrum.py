@@ -18,6 +18,11 @@ from .errors import InvalidSpec
 from .families import AlgebraicSolution, BranchKind
 
 PT_CHECK_TOL = 1e-10
+# Default sample points of is_pt_symmetric: 201 points on [-8, 8], then their
+# mirror images, so that one potential call yields V(x) and V(-x).
+_PT_GRID = np.linspace(-8.0, 8.0, 201)
+_PT_SAMPLES = np.concatenate((_PT_GRID, -_PT_GRID))
+_PT_SAMPLES.flags.writeable = False
 # Levels per branch grow like sqrt(v1).  Far past any level count the oracle
 # can resolve, enumerating them would only exhaust memory.
 MAX_LEVEL_COUNT = 10_000
@@ -93,16 +98,18 @@ def enumerate_levels(sol: AlgebraicSolution) -> list[EigenLevel]:
 def is_pt_symmetric(spec, xs=None) -> bool:
     """Sampled check of V(-x)* == V(x) on a grid symmetric about the origin.
 
-    Defaults to 201 points on [-8, 8].  The generalized Poschl-Teller family
-    passes only for c = 0 (any gamma); the complexified Morse family never
-    passes.
+    Defaults to 201 points on [-8, 8].  V is evaluated once, on xs and -xs
+    together.  The generalized Poschl-Teller family passes only for c = 0
+    (any gamma); the complexified Morse family never passes.
     """
     if xs is None:
-        xs = np.linspace(-8.0, 8.0, 201)
-    xs = np.asarray(xs, dtype=float)
-    v_plus = spec.potential(xs)
-    v_minus = spec.potential(-xs)
-    return float(np.max(np.abs(np.conj(v_minus) - v_plus))) < PT_CHECK_TOL
+        samples = _PT_SAMPLES
+    else:
+        xs = np.asarray(xs, dtype=float).ravel()
+        samples = np.concatenate((xs, -xs))
+    v = spec.potential(samples)
+    half = len(samples) // 2
+    return float(np.max(np.abs(np.conj(v[half:]) - v[:half]))) < PT_CHECK_TOL
 
 
 def _classification_of(pairs) -> Classification:

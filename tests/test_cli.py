@@ -15,9 +15,18 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from sl2spectra import InvalidSpec, PotentialClass, families, oracle
-from sl2spectra.cli import MAX_PROFILE_POINTS, _spec_from_args, build_parser, main
+from sl2spectra import InvalidSpec, PotentialClass, families, oracle, spectrum
+from sl2spectra.cli import (
+    MAX_PROFILE_POINTS,
+    _json_text,
+    _spec_from_args,
+    build_parser,
+    main,
+    report_document,
+)
 
 
 def run_cli(capsys, argv):
@@ -306,6 +315,11 @@ BAD_INPUTS = {
                                  "--n-points", "100"],
     "verify-spacing-subnormal": ["verify", *SCARF, "--x-min", "1e-158", "--x-max", "1.99e-158",
                                  "--n-points", "100"],
+    # h^2 is normal, but the Frobenius norm of H would square 1/h^2 below it
+    "verify-spacing-norm-underflow-1e150": ["verify", *SCARF, "--x-min=-1e150",
+                                            "--x-max=1e150", "--n-points", "100"],
+    "verify-spacing-norm-underflow-1e80": ["verify", *SCARF, "--x-min=-1e80", "--x-max=1e80",
+                                           "--n-points", "100"],
     "verify-tol-nan": ["verify", *SCARF, "--tol", "nan", "--n-points", "100"],
     "verify-decay-gate-negative": ["verify", *SCARF, "--decay-gate", "-1", "--n-points", "100"],
     "verify-residual-tol-nan": ["verify", *SCARF, "--residual-tol", "nan", "--n-points", "100"],
@@ -451,3 +465,42 @@ def test_schema_lists_every_family():
     assert schema["properties"]["family"]["enum"] == list(families.FAMILIES)
     branch = schema["properties"]["branches"]["items"]["properties"]
     assert branch["potential_class"]["enum"] == [c.value for c in PotentialClass]
+
+
+# json.dumps(indent=2) is the reference for the analyze writer.
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+EDGE_TREE = {
+    "empty": [[], {}, [[]], {"": {}}],
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 1.5e300, 5e-324],
+    "ints": [0, -1, 2**64, True, False, None],
+    'quote " and \\ backslash': ['"', "\\", "\n\t\x00", "é", "\u2603", "\U0001f600"],
+}
+
+
+@given(JSON_TREES)
+@example(EDGE_TREE)
+def test_json_text_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
+def _empty_document():
+    spec = families.MorseABSpec(1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(families.NoRegularBranch):
+        spectrum.analyze(spec)
+    return report_document(spectrum.classify(spec, []))
+
+
+@pytest.mark.parametrize("family", [*EXAMPLES, "empty"])
+def test_json_text_of_analyze_documents(family):
+    if family == "empty":
+        doc = _empty_document()
+        assert doc["branches"] == [] and doc["threshold_distance"] is None
+    else:
+        doc = report_document(spectrum.analyze(EXAMPLES[family]))
+        assert doc["branches"]
+    assert _json_text(doc) == json.dumps(doc, indent=2)

@@ -9,6 +9,7 @@ from sl2spectra import (
     Classification,
     InvalidSpec,
     MorseABSpec,
+    MorseSpec,
     PoschlTellerSpec,
     ScarfSpec,
     analyze,
@@ -16,9 +17,11 @@ from sl2spectra import (
     scan_threshold,
     solve,
 )
+from sl2spectra.families import FAMILIES
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
     MAX_SWEEP_SAMPLES,
+    PT_CHECK_TOL,
     classify,
     conjugate_pair_closure,
     enumerate_levels,
@@ -85,6 +88,29 @@ class TestClassify:
         assert report.branches == []
 
 
+def two_call_pt_check(spec, xs=None) -> bool:
+    """Reference form of is_pt_symmetric: V sampled on xs and on -xs in two calls."""
+    if xs is None:
+        xs = np.linspace(-8.0, 8.0, 201)
+    xs = np.asarray(xs, dtype=float)
+    v_plus = spec.potential(xs)
+    v_minus = spec.potential(-xs)
+    return float(np.max(np.abs(np.conj(v_minus) - v_plus))) < PT_CHECK_TOL
+
+
+# One example per family, gPT with its contour nearly centred, and Morse-AB
+# on and off its reality condition
+PT_SPECS = [
+    ScarfSpec(9.75, 6.0),
+    ScarfSpec(0.0, 5.0),
+    PoschlTellerSpec(9.75, -6.0, c=0.3, contour_gamma=-math.pi / 16),
+    *(PoschlTellerSpec(9.75, 6.0, c=c, contour_gamma=math.pi / 8) for c in (0.0, 1e-12, 1e-9)),
+    MorseSpec(0.5, 2.0, 3.0, 1.5),
+    MorseABSpec(1.0, 1.0, 3.0, 5.0),
+    MorseABSpec(1.0, 1.0, 3.0, 3.0),
+]
+
+
 class TestPTSymmetry:
     def test_scarf_always(self):
         assert is_pt_symmetric(ScarfSpec(9.75, 6.0))
@@ -101,6 +127,16 @@ class TestPTSymmetry:
     def test_requires_symmetric_samples(self):
         xs = np.linspace(-6, 6, 121)
         assert is_pt_symmetric(ScarfSpec(2.0, 1.0), xs)
+
+    @pytest.mark.parametrize("spec", PT_SPECS, ids=repr)
+    def test_one_call_matches_two_calls(self, spec):
+        assert is_pt_symmetric(spec) == two_call_pt_check(spec)
+        xs = np.linspace(-6, 6, 121)
+        assert is_pt_symmetric(spec, xs) == two_call_pt_check(spec, xs)
+
+    def test_equivalence_covers_both_verdicts_and_every_family(self):
+        assert {type(spec) for spec in PT_SPECS} == set(FAMILIES.values())
+        assert {two_call_pt_check(spec) for spec in PT_SPECS} == {True, False}
 
 
 class TestSweep:
