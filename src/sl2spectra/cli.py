@@ -5,7 +5,7 @@ documents follow schemas/spectrum_report.v1.json, and CSV output is
 RFC-4180-style (CRLF, header row).  Identical configurations produce
 byte-identical output.  The `analyze` text is, byte for byte, what the
 stdlib's json.dumps writes for the document with a two-space indent, plus a
-newline; `_json_text` writes it.
+newline; `report_document` writes that text in one pass.
 
 Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling,
 Morse couplings that overflow the matching equations, missing family flags,
@@ -17,8 +17,8 @@ profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
 spacing h has an h^2 or 1/h^4 that overflows or is below the smallest normal
 double (a box as wide as +-1e80 at 100 points), a profile of more than
 MAX_PROFILE_POINTS points, a non-finite or non-positive --tol, --decay-gate
-or --residual-tol, or a --from-file that is unreadable, lacks a column or is
-zero everywhere, or any other SpectraError);
+or --residual-tol, or a --from-file that is unreadable, lacks a column, holds
+a non-finite value or is zero everywhere, or any other SpectraError);
 3 no regular branch (analyze still emits an empty-spectrum document, the
 other commands print nothing); 4 verification mismatch; 5 eigensolver
 non-convergence.
@@ -58,10 +58,6 @@ EXIT_CODES = {NoRegularBranch: EXIT_NO_BRANCH, NoConvergence: EXIT_NO_CONVERGENC
 
 def _fmt(x: float) -> str:
     return f"{float(x) + 0.0:.15g}"  # +0.0 folds -0.0 into 0.0
-
-
-def _round15(x: float) -> float:
-    return float(f"{x + 0.0:.15g}")  # the digits _fmt writes, one call fewer per number
 
 
 @dataclass
@@ -106,85 +102,75 @@ def _grid_from_args(args, spec) -> oracle.Grid:
     return oracle.Grid(x_min, x_max, base.n_points)
 
 
-def report_document(report: spectrum.SpectrumReport) -> dict:
-    """Serialize a SpectrumReport as the schema-v1 analyze document."""
-    branches = []
-    for sol, levels in report.branches:
-        r = sol.realization
-        branches.append(
-            {
-                "epsilon": sol.epsilon,
-                "branch_kind": sol.branch_kind.value,
-                "potential_class": r.potential_class.value,
-                "m_re": _round15(sol.m_re),
-                "m_im": _round15(sol.m_im),
-                "b_re": _round15(r.b_re),
-                "b_im": _round15(r.b_im),
-                "c": _round15(r.c),
-                "contour_gamma": _round15(r.gamma),
-                "n_max_exclusive": _round15(sol.n_max_exclusive),
-                "levels": [
-                    {
-                        "n": lv.n,
-                        "energy": [_round15(lv.energy.real), _round15(lv.energy.imag)],
-                    }
-                    for lv in levels
-                ],
-            }
-        )
+def report_document(report: spectrum.SpectrumReport) -> str:
+    """The schema-v1 analyze document of a SpectrumReport, as JSON text.
+
+    Byte for byte what json.dumps(doc, indent=2) writes for the document
+    tree with every number rounded to 15 significant digits, written in one
+    pass without building the tree.  No trailing newline.
+    """
     spec = report.spec
-    return {
-        "schema_version": 1,
-        "family": spec.family,
-        "parameters": {k: _round15(v) for k, v in spec.parameters().items()},
-        "classification": report.classification.value,
-        "pt_symmetric": report.pt_symmetric,
-        "threshold_distance": None
-        if report.threshold_distance is None
-        else _round15(report.threshold_distance),
-        "reality_condition_residual": None
-        if report.reality_condition_residual is None
-        else _round15(report.reality_condition_residual),
-        "branches": branches,
-    }
+    params = ",\n    ".join(f"{_quote(k)}: {_num(v)}" for k, v in spec.parameters().items())
+    branches = [_branch_text(sol, levels) for sol, levels in report.branches]
+    return (
+        '{\n  "schema_version": 1,\n'
+        f'  "family": {_quote(spec.family)},\n'
+        f'  "parameters": {{\n    {params}\n  }},\n'
+        f'  "classification": {_quote(report.classification.value)},\n'
+        f'  "pt_symmetric": {"true" if report.pt_symmetric else "false"},\n'
+        f'  "threshold_distance": {_num_or_null(report.threshold_distance)},\n'
+        f'  "reality_condition_residual": {_num_or_null(report.reality_condition_residual)},\n'
+        f'  "branches": {_array(branches, "  ")}\n'
+        "}"
+    )
+
+
+def _branch_text(sol, levels) -> str:
+    r = sol.realization
+    level_texts = [
+        f'{{\n          "n": {lv.n},\n          "energy": [\n'
+        f"            {_num(lv.energy.real)},\n            {_num(lv.energy.imag)}\n"
+        "          ]\n        }"
+        for lv in levels
+    ]
+    return (
+        f'{{\n      "epsilon": {sol.epsilon},\n'
+        f'      "branch_kind": {_quote(sol.branch_kind.value)},\n'
+        f'      "potential_class": {_quote(r.potential_class.value)},\n'
+        f'      "m_re": {_num(sol.m_re)},\n'
+        f'      "m_im": {_num(sol.m_im)},\n'
+        f'      "b_re": {_num(r.b_re)},\n'
+        f'      "b_im": {_num(r.b_im)},\n'
+        f'      "c": {_num(r.c)},\n'
+        f'      "contour_gamma": {_num(r.gamma)},\n'
+        f'      "n_max_exclusive": {_num(sol.n_max_exclusive)},\n'
+        f'      "levels": {_array(level_texts, "      ")}\n'
+        "    }"
+    )
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of already written items, the array itself indented by indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
 _quote = json.encoder.encode_basestring_ascii
+# json.dumps spellings of the values whose float repr is not JSON; rounding to
+# 15 digits turns the largest doubles into inf.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps of a dict/list/str/int/float/bool/None tree, indented by two spaces.
+def _num(x: float) -> str:
+    """x rounded to 15 significant digits, as json.dumps writes the rounded float."""
+    text = float.__repr__(float(f"{x + 0.0:.15g}"))
+    return _NON_FINITE.get(text, text)
 
-    CPython's C encoder cannot indent, so an indented json.dumps runs the
-    stdlib's generator-based pure-Python encoder; this writer emits the same
-    bytes at a fraction of its cost.  Dict keys must be str.
-    """
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+def _num_or_null(x: float | None) -> str:
+    return "null" if x is None else _num(x)
 
 
 def _emit(text: str, output: str | None):
@@ -210,7 +196,7 @@ def cmd_analyze(config: RunConfig) -> int:
     except NoRegularBranch:
         report = spectrum.classify(config.spec, [])
         code = EXIT_NO_BRANCH
-    _emit(_json_text(report_document(report)) + "\n", config.output)
+    _emit(report_document(report) + "\n", config.output)
     return code
 
 
@@ -274,7 +260,10 @@ def _read_profile(path: str) -> GridFunction:
                 im_psi.append(float(row["im_psi"]))
     except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
-    return GridFunction(np.asarray(xs), np.asarray(re_psi) + 1j * np.asarray(im_psi))
+    columns = np.array([xs, re_psi, im_psi])
+    if not np.isfinite(columns).all():
+        raise InvalidSpec(f"{path} holds a non-finite x, re_psi or im_psi")
+    return GridFunction(columns[0], columns[1] + 1j * columns[2])
 
 
 def _verify_from_file(config: RunConfig) -> int:

@@ -213,7 +213,9 @@ class MorseSpec(FamilySpec):
                 / (2 * sqrt(2) * D),
 
         which gives b_re > 0, and the branch exists iff m_re > 1/2, i.e.
-        sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D.  The level series
+        sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D, and b_re clears
+        the REG_TOL margin, which it misses when v1r + D is below ~2e-24 (a
+        tiny |v1|, or v1r < 0 with a tiny v1i).  The level series
         is real exactly when the reality residual vanishes (tolerance REG_TOL);
         otherwise the complex levels come unpaired, the conjugate levels
         belonging to the conjugated potential.
@@ -226,6 +228,8 @@ class MorseSpec(FamilySpec):
         m_im = (sp * self.v2i - nu * sm * self.v2r) / denom
         if not _strictly_above(m_re, 0.5):
             raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
+        if not _strictly_above(b_re, 0.0):
+            raise NoRegularBranch(f"Morse regularity fails: b_re = {b_re:.6g} is not > 0")
         is_real = morse_reality_residual(self) <= REG_TOL
         return [
             AlgebraicSolution(

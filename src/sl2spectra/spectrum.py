@@ -112,8 +112,8 @@ def is_pt_symmetric(spec, xs=None) -> bool:
     return float(np.max(np.abs(np.conj(v[half:]) - v[:half]))) < PT_CHECK_TOL
 
 
-def _classification_of(pairs) -> Classification:
-    kinds = {sol.branch_kind for sol, levels in pairs if levels}
+def _classification_of(kinds: set[BranchKind]) -> Classification:
+    """The phase of a spectrum whose level-emitting branches have these kinds."""
     if not kinds:
         return Classification.EMPTY
     if BranchKind.COMPLEX_PAIR_MEMBER in kinds:
@@ -132,11 +132,10 @@ def classify(spec, branches: list[AlgebraicSolution]) -> SpectrumReport:
     ComplexUnpaired for the generic complex Morse series.
     """
     pairs = [(sol, enumerate_levels(sol)) for sol in branches]
-    classification = _classification_of(pairs)
     return SpectrumReport(
         spec=spec,
         branches=pairs,
-        classification=classification,
+        classification=_classification_of({sol.branch_kind for sol, levels in pairs if levels}),
         pt_symmetric=is_pt_symmetric(spec),
         threshold_distance=spec.threshold_distance(),
         reality_condition_residual=spec.reality_residual(),
@@ -169,6 +168,9 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
+_NO_LEVELS = dict.fromkeys(BranchKind, 0)  # level count per branch kind, copied per sample
+
+
 def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[PhaseDiagramRow]:
     """Sweep the family's natural parameter and log the phase of each sample.
 
@@ -184,17 +186,17 @@ def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[Ph
         except families.NoRegularBranch:
             rows.append(PhaseDiagramRow(value, 0, 0, Classification.EMPTY))
             continue
-        pairs = [(sol, enumerate_levels(sol)) for sol in branches]
-        real_levels = sum(
-            len(levels) for sol, levels in pairs if sol.branch_kind is BranchKind.REAL_SERIES
-        )
-        complex_levels = sum(
-            len(levels)
-            for sol, levels in pairs
-            if sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER
-        )
+        counts = _NO_LEVELS.copy()
+        for sol in branches:
+            counts[sol.branch_kind] += level_count(sol.n_max_exclusive)
+        kinds = {kind for kind, count in counts.items() if count}
         rows.append(
-            PhaseDiagramRow(value, real_levels, complex_levels // 2, _classification_of(pairs))
+            PhaseDiagramRow(
+                value,
+                counts[BranchKind.REAL_SERIES],
+                counts[BranchKind.COMPLEX_PAIR_MEMBER] // 2,
+                _classification_of(kinds),
+            )
         )
     return rows
 

@@ -3,8 +3,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from sl2spectra import families, oracle, spectrum
+
+# Property tests draw the same examples on every run and keep no example
+# database in the working tree.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -14,19 +14,21 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sl2spectra import InvalidSpec, PotentialClass, families, oracle, spectrum
 from sl2spectra.cli import (
     MAX_PROFILE_POINTS,
-    _json_text,
+    _num,
     _spec_from_args,
     build_parser,
     main,
     report_document,
 )
+from document_reference import reference_text
 
 
 def run_cli(capsys, argv):
@@ -119,6 +121,19 @@ class TestAnalyze:
         assert doc["classification"] == "Empty"
         assert doc["branches"] == []
 
+    def test_tiny_morse_couplings_exit_3_with_empty_document(self, capsys):
+        # b_re = A misses the regularity margin: no branch, not an internal error
+        code, out = run_cli(
+            capsys,
+            ["analyze", "--family", "morse-ab", "--A", "1e-160", "--B", "1e-160",
+             "--gamma-p", "3", "--delta-p", "5"],
+        )
+        assert code == 3
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema())
+        assert doc["classification"] == "Empty"
+        assert doc["branches"] == []
+
 
 class TestScan:
     def test_threshold_flip_row(self, capsys):
@@ -167,6 +182,16 @@ class TestScan:
         kinds = {float(r[0]): r[3] for r in rows}
         assert kinds[3.0] == "AllReal"
         assert all(v == "ComplexUnpaired" for k, v in kinds.items() if k != 3.0)
+
+    def test_tiny_morse_couplings_give_empty_rows(self, capsys):
+        code, out = run_cli(
+            capsys,
+            ["scan", "--family", "morse-ab", "--A", "1e-13", "--B", "1e-13",
+             "--gamma-p", "3", "--start", "2", "--stop", "4", "--step", "1"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows == [[v, "0", "0", "Empty"] for v in ("2", "3", "4")]
 
     def test_crlf_line_endings(self, capsys):
         _, out = run_cli(
@@ -283,6 +308,10 @@ PROFILES = {
     "no_im.csv": "x,re_psi\r\n0,1\r\n",
     "bad_number.csv": PROFILE_HEADER + "0,abc,0\r\n",
     "zero.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},0,0\r\n" for k in range(32)),
+    "nan.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},{'nan' if k == 7 else 1},0\r\n"
+                                        for k in range(32)),
+    "inf.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},1,{'inf' if k == 7 else 0}\r\n"
+                                        for k in range(32)),
 }
 BAD_INPUTS = {
     "v2-nan": ["analyze", "--family", "scarf2", "--v1", "9.75", "--v2", "nan"],
@@ -298,6 +327,8 @@ BAD_INPUTS = {
     "missing-column": ["verify", *SCARF, "--from-file", "{tmp}/no_im.csv"],
     "bad-number": ["verify", *SCARF, "--from-file", "{tmp}/bad_number.csv"],
     "zero-profile": ["verify", *SCARF, "--from-file", "{tmp}/zero.csv"],
+    "verify-file-nan": ["verify", *SCARF, "--from-file", "{tmp}/nan.csv"],
+    "verify-file-inf": ["verify", *SCARF, "--from-file", "{tmp}/inf.csv"],
     "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
     "scan-stop-inf": ["scan", *SCARF, "--start", "0.1", "--stop", "inf", "--step", "0.5"],
     "scan-huge-range": ["scan", *SCARF, "--start", "0", "--stop", "1e9", "--step", "1e-9"],
@@ -467,40 +498,87 @@ def test_schema_lists_every_family():
     assert branch["potential_class"]["enum"] == [c.value for c in PotentialClass]
 
 
-# json.dumps(indent=2) is the reference for the analyze writer.
-JSON_TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=24,
-)
-EDGE_TREE = {
-    "empty": [[], {}, [[]], {"": {}}],
-    "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 1.5e300, 5e-324],
-    "ints": [0, -1, 2**64, True, False, None],
-    'quote " and \\ backslash': ['"', "\\", "\n\t\x00", "é", "\u2603", "\U0001f600"],
-}
+# The one-pass analyze writer against the dict tree plus json.dumps(indent=2)
+# of tests/document_reference.py.  Couplings mix ordinary draws with doubles
+# where the 15-digit rounding or float repr turns: -0.0, the smallest
+# subnormal, the switch to exponent notation below 1e-4, and 15- and 16-digit
+# integers (repr writes 1e16 but 9999999999999990.0).
+EDGE_COUPLINGS = [-0.0, 5e-324, 1e-5, 123456789012345.0, 1e15, 9.99999999999999e15, 1e16]
+SIGNED_EDGE = st.sampled_from(EDGE_COUPLINGS + [-x for x in EDGE_COUPLINGS])
 
 
-@given(JSON_TREES)
-@example(EDGE_TREE)
-def test_json_text_matches_json_dumps(tree):
-    assert _json_text(tree) == json.dumps(tree, indent=2)
+def coupling(lo, hi):
+    """A float in [lo, hi], or, one draw in four, a signed edge double."""
+    ordinary = st.floats(lo, hi)
+    return st.one_of(ordinary, ordinary, ordinary, SIGNED_EDGE)
 
 
-def _empty_document():
-    spec = families.MorseABSpec(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(families.NoRegularBranch):
-        spectrum.analyze(spec)
-    return report_document(spectrum.classify(spec, []))
+@st.composite
+def analyzed_specs(draw):
+    """A spec of any family: no-branch, exact-threshold and ~40-level ones included.
+
+    Scarf/gPT v1 up to 2000 gives up to ~45 levels a branch; v1 and |v2|
+    below ~0.3 give no regular branch, and v2 = +-(v1 + 1/4) sits exactly on
+    the threshold.
+    """
+    family = draw(st.sampled_from(list(families.FAMILIES)))
+    try:
+        if family in ("scarf2", "poschl-teller"):
+            v1 = draw(st.one_of(coupling(-0.24, 2000), st.floats(0.0, 0.3)))
+            if family == "scarf2":
+                v1 = abs(v1)
+            on_threshold = draw(st.booleans())
+            v2 = v1 + 0.25 if on_threshold else draw(
+                st.one_of(coupling(0.01, 3000), st.floats(0.01, 0.3))
+            )
+            v2 = -v2 if draw(st.booleans()) else v2
+            if family == "scarf2":
+                return families.ScarfSpec(v1, v2)
+            gamma = draw(st.floats(0.01, 0.78))
+            return families.PoschlTellerSpec(v1, v2, draw(coupling(-5, 5)), gamma)
+        if family == "morse":
+            return families.MorseSpec(*(draw(coupling(-100, 100)) for _ in range(4)))
+        return families.MorseABSpec(
+            abs(draw(coupling(0.01, 10))), *(draw(coupling(-10, 10)) for _ in range(3))
+        )
+    except InvalidSpec:
+        reject()
 
 
-@pytest.mark.parametrize("family", [*EXAMPLES, "empty"])
-def test_json_text_of_analyze_documents(family):
-    if family == "empty":
-        doc = _empty_document()
-        assert doc["branches"] == [] and doc["threshold_distance"] is None
-    else:
-        doc = report_document(spectrum.analyze(EXAMPLES[family]))
-        assert doc["branches"]
-    assert _json_text(doc) == json.dumps(doc, indent=2)
+def _report(spec):
+    with np.errstate(over="ignore", invalid="ignore"):  # sinh(x - c) for |c| ~ 1e16
+        try:
+            return spectrum.analyze(spec)
+        except families.NoRegularBranch:
+            return spectrum.classify(spec, [])
+
+
+@settings(max_examples=500)
+@given(analyzed_specs())
+@example(families.ScarfSpec(0.0, 0.05))  # no regular branch
+@example(families.ScarfSpec(9.75, 10.0))  # exact threshold
+@example(families.ScarfSpec(1600.0, 3.0))  # 40 levels per branch
+@example(families.MorseABSpec(1e-160, 1e-160, 3.0, 5.0))  # no branch, subnormal residual
+# c rounds to inf at 15 digits and is written Infinity, as json.dumps writes it
+@example(families.PoschlTellerSpec(2.0, 1.0, 1.7976931348623157e308, 0.3))
+@example(EXAMPLES["scarf2"])
+@example(EXAMPLES["poschl-teller"])
+@example(EXAMPLES["morse"])
+@example(EXAMPLES["morse-ab"])
+def test_report_document_matches_reference(spec):
+    try:
+        report = _report(spec)
+    except InvalidSpec:  # more levels than MAX_LEVEL_COUNT, or overflowing couplings
+        reject()
+    if sum(len(levels) for _, levels in report.branches) > 500:
+        reject()  # thousands of levels (a Morse v1 near 0) would overrun the deadline
+    assert report_document(report) == reference_text(report)
+
+
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(9.999999999999995e15)
+def test_number_text_matches_json_dumps(x):
+    assert _num(x) == json.dumps(float(f"{x + 0.0:.15g}"))

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sl2spectra import (
     Classification,
     InvalidSpec,
     MorseABSpec,
     MorseSpec,
+    NoRegularBranch,
     PoschlTellerSpec,
     ScarfSpec,
     analyze,
@@ -17,11 +20,12 @@ from sl2spectra import (
     scan_threshold,
     solve,
 )
-from sl2spectra.families import FAMILIES
+from sl2spectra.families import FAMILIES, BranchKind, with_swept_value
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
     MAX_SWEEP_SAMPLES,
     PT_CHECK_TOL,
+    PhaseDiagramRow,
     classify,
     conjugate_pair_closure,
     enumerate_levels,
@@ -205,3 +209,75 @@ class TestSweep:
         rows = scan_threshold(ScarfSpec(0.0, 0.05), 0.05, 0.3, 0.05)
         assert rows[0].classification is Classification.EMPTY
         assert rows[0].real_level_count == 0
+
+
+def enumerated_scan(base_spec, start, stop, step) -> list[PhaseDiagramRow]:
+    """Reference form of scan_threshold: enumerate every level, then count them."""
+    rows = []
+    for value in sweep_values(start, stop, step):
+        try:
+            branches = solve(with_swept_value(base_spec, value))
+        except NoRegularBranch:
+            rows.append(PhaseDiagramRow(value, 0, 0, Classification.EMPTY))
+            continue
+        pairs = [(sol, enumerate_levels(sol)) for sol in branches]
+        real = sum(len(lv) for sol, lv in pairs if sol.branch_kind is BranchKind.REAL_SERIES)
+        paired = sum(
+            len(lv) for sol, lv in pairs if sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER
+        )
+        kinds = {sol.branch_kind for sol, lv in pairs if lv}
+        if not kinds:
+            phase = Classification.EMPTY
+        elif BranchKind.COMPLEX_PAIR_MEMBER in kinds:
+            phase = Classification.BROKEN_CONJUGATE_PAIRS
+        elif BranchKind.COMPLEX_UNPAIRED in kinds:
+            phase = Classification.COMPLEX_UNPAIRED
+        else:
+            phase = Classification.ALL_REAL
+        rows.append(PhaseDiagramRow(value, real, paired // 2, phase))
+    return rows
+
+
+# Dyadic steps put a sample exactly on the threshold of a dyadic centre.
+STEPS = st.sampled_from([0.0625, 0.125, 0.25, 0.05, 0.1])
+
+
+@st.composite
+def sweeps(draw):
+    """(base spec, start, stop, step) across the threshold of Scarf, gPT or Morse-AB.
+
+    Small Scarf/gPT couplings and Morse-AB with gamma_p, delta_p <= 1 give
+    samples without a regular branch.
+    """
+    family = draw(st.sampled_from(["scarf2", "poschl-teller", "morse-ab"]))
+    step = draw(STEPS)
+    if family == "morse-ab":
+        gamma_p = draw(st.sampled_from([0.5, 1.0, 3.0]) | st.floats(-1.0, 8.0))
+        start = gamma_p - draw(st.integers(0, 12)) * step
+        base = MorseABSpec(
+            draw(st.floats(0.2, 3.0)),
+            draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 3.0)),
+            gamma_p,
+            start,
+        )
+    else:
+        v1 = draw(st.sampled_from([0.0, 0.25, 1.0, 9.75]) | st.floats(0.0, 60.0))
+        threshold = v1 + 0.25
+        # v2 stays positive: the families reject v2 = 0
+        start = threshold - draw(st.integers(0, math.ceil(threshold / step) - 1)) * step
+        if family == "scarf2":
+            base = ScarfSpec(v1, start)
+        else:
+            base = PoschlTellerSpec(v1, start, draw(st.floats(-2.0, 2.0)),
+                                    draw(st.floats(0.05, 0.75)))
+    return base, start, start + draw(st.integers(0, 24)) * step, step
+
+
+@given(sweeps())
+@example((ScarfSpec(1.0, 0.1), 0.1, 2.5, 0.05))  # 1.25 within REG_TOL of a sample
+@example((ScarfSpec(9.75, 9.0), 9.0, 11.0, 0.25))  # 10.0 exactly on a sample
+@example((ScarfSpec(0.0, 0.05), 0.05, 0.3, 0.05))  # no regular branch
+@example((MorseABSpec(1.0, 1.0, 3.0, 2.0), 2.0, 4.0, 0.5))  # delta_p = gamma_p on a sample
+@example((MorseABSpec(1.0, 1.0, 0.5, 0.0), 0.0, 1.0, 0.25))  # no regular branch
+def test_scan_rows_match_enumerated_counts(sweep):
+    assert scan_threshold(*sweep) == enumerated_scan(*sweep)
