@@ -575,6 +575,26 @@ def test_report_document_matches_reference(spec):
     assert report_document(report) == reference_text(report)
 
 
+def _empty_report():
+    spec = families.MorseABSpec(1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(families.NoRegularBranch):
+        spectrum.analyze(spec)
+    return spectrum.classify(spec, [])
+
+
+@pytest.mark.parametrize("family", [*EXAMPLES, "empty"])
+def test_json_text_of_analyze_documents(family):
+    if family == "empty":
+        report = _empty_report()
+        assert report.branches == [] and report.threshold_distance is None
+    else:
+        report = spectrum.analyze(EXAMPLES[family])
+        assert report.branches
+    text = report_document(report)
+    assert text == reference_text(report)
+    assert (json.loads(text)["branches"] == []) == (family == "empty")
+
+
 @given(st.floats())
 @example(-0.0)
 @example(5e-324)
