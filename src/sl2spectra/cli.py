@@ -5,9 +5,11 @@ documents follow schemas/spectrum_report.v1.json, and CSV output is
 RFC-4180-style (CRLF, header row).  Identical configurations produce
 byte-identical output.  The `analyze` text is, byte for byte, what the
 stdlib's json.dumps writes for the document with a two-space indent, plus a
-newline; `report_document` writes that text in one pass.
+newline; `report_document` writes that text in one pass, formatting each
+number once.
 
-Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling,
+Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling, or one
+above families.MAX_COUPLING in magnitude, which 15 digits would round to inf;
 Morse couplings that overflow the matching equations, missing family flags,
 an empty, non-finite or oversized (spectrum.MAX_SWEEP_SAMPLES) sweep range or
 a family without a sweep parameter, no level (epsilon, n), more closed-form
@@ -15,7 +17,8 @@ levels than spectrum.MAX_LEVEL_COUNT, a grid with a non-finite end or fewer
 than 16 points (--n-points 0 included), a grid too coarse for the requested
 profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
 spacing h has an h^2 or 1/h^4 that overflows or is below the smallest normal
-double (a box as wide as +-1e80 at 100 points), a profile of more than
+double (a box as wide as +-1e80 at 100 points) or on which the potential is
+not finite (a Poschl-Teller box of +-800), a profile of more than
 MAX_PROFILE_POINTS points, a non-finite or non-positive --tol, --decay-gate
 or --residual-tol, or a --from-file that is unreadable, lacks a column, holds
 a non-finite value or is zero everywhere, or any other SpectraError);
@@ -164,8 +167,25 @@ _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _num(x: float) -> str:
-    """x rounded to 15 significant digits, as json.dumps writes the rounded float."""
-    text = float.__repr__(float(f"{x + 0.0:.15g}"))
+    """x rounded to 15 significant digits, as json.dumps writes the rounded float.
+
+    A decimal of at most 15 digits maps to its own double, so the .15g text
+    already has the digits of that double's repr; an integral value only
+    lacks repr's ".0".  The text is written through float.__repr__ where the
+    two differ: exponent 15 (repr writes [1e15, 1e16) positionally), exponent
+    308 (the value may round to inf), exponents below -307 (subnormals carry
+    fewer digits), nan and inf.
+    """
+    text = f"{x + 0.0:.15g}"
+    if "e" in text:
+        exponent = int(text[text.index("e") + 1:])
+        if -308 < exponent < 308 and exponent != 15:
+            return text
+    elif "." in text:
+        return text
+    elif text[-1].isdigit():
+        return text + ".0"
+    text = float.__repr__(float(text))
     return _NON_FINITE.get(text, text)
 
 

@@ -1,10 +1,11 @@
 """Potential families and the inversion of their parameter-matching equations.
 
 Each family (complexified Scarf II, generalized Poschl-Teller, complexified
-Morse) is a closed-form member of one realization class.  The solvers invert
-the matching between the family's couplings and the realization parameters
-(b, m), apply the regularity conditions m_re > 1/2 (and b_re > 0 for class
-III), and return every admissible branch together with its level range.
+Morse) is a closed-form member of one realization class.  Each family's
+`branch_rows` inverts the matching between its couplings and the realization
+parameters (b, m), applies the regularity conditions m_re > 1/2 (and b_re > 0
+for class III), and returns every admissible branch as a plain row;
+`solve` builds the branch objects from those rows.
 
 Each family is one FamilySpec class, and FAMILIES maps family names to
 those classes; the rest of the package reads everything family-specific
@@ -27,6 +28,10 @@ from .errors import InvalidSpec, NoRegularBranch
 # so behavior at measure-zero parameter points is deterministic under
 # floating-point noise.
 REG_TOL = 1e-12
+# Largest accepted |coupling|.  Rounding to the 15 digits of the analyze
+# document turns doubles above ~1.797693134862315e308 into inf; every coupling
+# up to this bound is written as a finite number.
+MAX_COUPLING = 1.79769313486231e308
 
 
 class BranchKind(Enum):
@@ -43,20 +48,31 @@ class FamilySpec:
     """Base of the family specs: one frozen dataclass per family, listed in FAMILIES.
 
     The fields are the couplings in document order: the `parameters` keys
-    and, with '_' written '-', the CLI flags.  A family sets `family`, `box`
-    (default oracle domain) and `sweep_field` (the field `scan` sweeps, or
-    None) and defines `potential` and `_solve`.  Non-finite couplings are
-    rejected here, once for every family.
+    and, with '_' written '-', the CLI flags.  A family sets `family`,
+    `potential_class` (its realization class), `box` (default oracle domain)
+    and `sweep_field` (the field `scan` sweeps, or None) and defines
+    `potential` and `branch_rows`, which returns a row (epsilon, kind, m_re,
+    m_im, b) per admissible branch or raises NoRegularBranch.  Couplings that
+    are not finite or exceed MAX_COUPLING in magnitude are rejected here, once
+    for every family.
     """
 
     family: ClassVar[str]
+    potential_class: ClassVar[PotentialClass]
     box: ClassVar[tuple[float, float]]
     sweep_field: ClassVar[str | None] = None
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise InvalidSpec(f"{self.family} requires a finite {name}, got {value}")
+            if not abs(value) <= MAX_COUPLING:  # also false for nan
+                raise InvalidSpec(
+                    f"{self.family} requires a finite {name} of magnitude at most "
+                    f"{MAX_COUPLING:.15g}, got {value}"
+                )
+
+    def realization(self, b: complex) -> RealizationParams:
+        """The realization of a branch with amplitude b (no contour shift)."""
+        return RealizationParams(self.potential_class, b_re=b.real, b_im=b.imag)
 
     def parameters(self) -> dict[str, float]:
         """The couplings by field name, in field order (the instance holds nothing else)."""
@@ -90,6 +106,7 @@ class ScarfSpec(FamilySpec):
     v2: float
 
     family = "scarf2"
+    potential_class = PotentialClass.I
     box = SYMMETRIC_BOX
     sweep_field = "v2"
 
@@ -105,7 +122,7 @@ class ScarfSpec(FamilySpec):
         sech = 1.0 / np.cosh(x)
         return -self.v1 * sech**2 - 1j * self.v2 * sech * np.tanh(x)
 
-    def _solve(self):
+    def branch_rows(self):
         """All admissible class-I branches of the complexified Scarf II potential.
 
         Below the critical coupling |v2| <= v1 + 1/4 the two real series are
@@ -120,7 +137,7 @@ class ScarfSpec(FamilySpec):
         Each candidate is kept only if m_re > 1/2.  At the exact threshold the
         two real series coincide and a single merged branch is returned.
         """
-        return _solve_scarf_pt(self, PotentialClass.I)
+        return _scarf_pt_rows(self)
 
     def threshold_distance(self) -> float:
         return abs(self.v2) - (self.v1 + 0.25)
@@ -142,6 +159,7 @@ class PoschlTellerSpec(FamilySpec):
     contour_gamma: float = math.pi / 8
 
     family = "poschl-teller"
+    potential_class = PotentialClass.II
     box = SYMMETRIC_BOX
     sweep_field = "v2"
 
@@ -160,7 +178,7 @@ class PoschlTellerSpec(FamilySpec):
         csch2 = 1.0 / np.sinh(tau) ** 2
         return self.v1 * csch2 - self.v2 * csch2 * np.cosh(tau)
 
-    def _solve(self):
+    def branch_rows(self):
         """All admissible class-II branches of the generalized Poschl-Teller potential.
 
         The Scarf II branches with b multiplied by -i: the real series carry
@@ -169,7 +187,13 @@ class PoschlTellerSpec(FamilySpec):
         (c, gamma) pass through to the realization and leave the eigenvalue
         series untouched.
         """
-        return _solve_scarf_pt(self, PotentialClass.II, self.c, self.contour_gamma)
+        return [
+            (eps, kind, m_re, m_im, complex(b.imag, 0.0 - b.real))  # -i*b, no -0.0 part
+            for eps, kind, m_re, m_im, b in _scarf_pt_rows(self)
+        ]
+
+    def realization(self, b: complex) -> RealizationParams:
+        return RealizationParams(PotentialClass.II, self.c, self.contour_gamma, b.real, b.imag)
 
     threshold_distance = ScarfSpec.threshold_distance
 
@@ -184,6 +208,7 @@ class MorseSpec(FamilySpec):
     v2i: float
 
     family = "morse"
+    potential_class = PotentialClass.III_UPPER
     box = MORSE_BOX
 
     def __post_init__(self):
@@ -191,7 +216,7 @@ class MorseSpec(FamilySpec):
         if self.v1i == 0:
             raise InvalidSpec("complexified Morse requires v1i != 0")
         # Bounds the denominator 2*sqrt(2)*D and every numerator of
-        # _solve and morse_reality_residual, so none of them overflows.
+        # branch_rows and morse_reality_residual, so none of them overflows.
         delta, _, sp, sm = _morse_roots(self)
         v2_size = abs(self.v2r) + abs(self.v2i) + 1.0
         if not math.isfinite(max(1.0, 2 * math.sqrt(2) * delta) * max(1.0, sp + sm) * v2_size):
@@ -203,7 +228,7 @@ class MorseSpec(FamilySpec):
             self.v2r, self.v2i
         ) * np.exp(-x)
 
-    def _solve(self):
+    def branch_rows(self):
         """The single admissible class-III branch of the complexified Morse potential.
 
         With D = sqrt(v1r**2 + v1i**2) and nu = sign(v1i), regularity fixes
@@ -230,19 +255,9 @@ class MorseSpec(FamilySpec):
             raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
         if not _strictly_above(b_re, 0.0):
             raise NoRegularBranch(f"Morse regularity fails: b_re = {b_re:.6g} is not > 0")
-        is_real = morse_reality_residual(self) <= REG_TOL
-        return [
-            AlgebraicSolution(
-                realization=RealizationParams(
-                    PotentialClass.III_UPPER, c=0.0, gamma=0.0, b_re=b_re, b_im=b_im
-                ),
-                m_re=m_re,
-                m_im=0.0 if is_real else m_im,
-                epsilon=1,
-                n_max_exclusive=m_re - 0.5,
-                branch_kind=BranchKind.REAL_SERIES if is_real else BranchKind.COMPLEX_UNPAIRED,
-            )
-        ]
+        if morse_reality_residual(self) <= REG_TOL:
+            return [(1, BranchKind.REAL_SERIES, m_re, 0.0, complex(b_re, b_im))]
+        return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, complex(b_re, b_im))]
 
     def reality_residual(self) -> float:
         return morse_reality_residual(self)
@@ -265,6 +280,7 @@ class MorseABSpec(FamilySpec):
     delta_p: float
 
     family = "morse-ab"
+    potential_class = PotentialClass.III_UPPER
     box = MORSE_BOX
     sweep_field = "delta_p"
 
@@ -278,8 +294,8 @@ class MorseABSpec(FamilySpec):
     def potential(self, x):
         return morse_from_ab(self).potential(x)
 
-    def _solve(self):
-        return morse_from_ab(self)._solve()
+    def branch_rows(self):
+        return morse_from_ab(self).branch_rows()
 
     def reality_residual(self) -> float:
         return morse_reality_residual(morse_from_ab(self))
@@ -352,44 +368,30 @@ def coupling_regime(v1: float, v2: float) -> tuple[str, float, float]:
     return "complex", math.sqrt(s + a), math.sqrt(diff)
 
 
-def _solve_scarf_pt(spec, potential_class, c=0.0, gamma=0.0) -> list[AlgebraicSolution]:
-    """Branches of the Scarf II (class I) or Poschl-Teller (class II) matching system.
+def _scarf_pt_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
+    """Branch rows of the Scarf II matching system, shared by Poschl-Teller.
 
-    Both share m; b is the Scarf II amplitude, times -i for Poschl-Teller.
+    Both families share m; b is the Scarf II amplitude, which Poschl-Teller
+    multiplies by -i.
     """
     regime, sq_p, sq_m = coupling_regime(spec.v1, spec.v2)
     nu = 1.0 if spec.v2 > 0 else -1.0
     if regime == "complex":
         kind = BranchKind.COMPLEX_PAIR_MEMBER
-        series = [
-            (eps, 0.5 * sq_p, 0.5 * eps * sq_m, complex(0.5 * nu * eps * sq_m, 0.5 * nu * sq_p))
+        rows = [
+            (eps, kind, 0.5 * sq_p, 0.5 * eps * sq_m,
+             complex(0.5 * nu * eps * sq_m, 0.5 * nu * sq_p))
             for eps in (1, -1)
         ]
     else:
         kind = BranchKind.REAL_SERIES
         # At the exact threshold the eps = +-1 series coincide; keep one.
-        series = [
-            (eps, 0.5 * (sq_p + eps * sq_m), 0.0, complex(0.0, 0.5 * nu * (sq_p - eps * sq_m)))
+        rows = [
+            (eps, kind, 0.5 * (sq_p + eps * sq_m), 0.0,
+             complex(0.0, 0.5 * nu * (sq_p - eps * sq_m)))
             for eps in ((1,) if regime == "threshold" else (1, -1))
         ]
-    out = []
-    for eps, m_re, m_im, b in series:
-        if not _strictly_above(m_re, 0.5):
-            continue
-        if potential_class is PotentialClass.II:
-            b = complex(b.imag, 0.0 - b.real)  # b_PT = -i * b_Scarf, with no -0.0 part
-        out.append(
-            AlgebraicSolution(
-                realization=RealizationParams(
-                    potential_class, c=c, gamma=gamma, b_re=b.real, b_im=b.imag
-                ),
-                m_re=m_re,
-                m_im=m_im,
-                epsilon=eps,
-                n_max_exclusive=m_re - 0.5,
-                branch_kind=kind,
-            )
-        )
+    out = [row for row in rows if _strictly_above(row[2], 0.5)]
     if not out:
         raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {spec}")
     return out
@@ -416,8 +418,22 @@ def morse_reality_residual(spec: MorseSpec) -> float:
 
 
 def solve(spec: FamilySpec) -> list[AlgebraicSolution]:
-    """Every admissible branch of the family's matching equations."""
-    return spec._solve()
+    """Every admissible branch of the family's matching equations.
+
+    The one place branch objects are built, from the spec's branch rows;
+    NoRegularBranch propagates.
+    """
+    return [
+        AlgebraicSolution(
+            realization=spec.realization(b),
+            m_re=m_re,
+            m_im=m_im,
+            epsilon=eps,
+            n_max_exclusive=m_re - 0.5,
+            branch_kind=kind,
+        )
+        for eps, kind, m_re, m_im, b in spec.branch_rows()
+    ]
 
 
 def with_swept_value(spec: FamilySpec, value: float) -> FamilySpec:

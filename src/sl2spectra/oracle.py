@@ -117,7 +117,8 @@ def discretize(potential, grid: Grid) -> np.ndarray:
     the layout in which `eigvals_complex` diagonalizes it without a copy.
     A grid with more than DENSE_CAP interior points, or whose h^2 or 1/h^4
     overflows or falls below the smallest normal double, raises InvalidSpec
-    before anything is allocated or the potential is evaluated.
+    before anything is allocated or the potential is evaluated; a potential
+    that is not finite on the interior raises InvalidSpec without a warning.
     """
     m = grid.n_points - 2
     _check_dense_cap(m)
@@ -146,7 +147,8 @@ def discretize(potential, grid: Grid) -> np.ndarray:
         if j + 1 < m:
             d2[j, j + 1] = 1.0
     d2 /= h * h
-    vals = np.asarray(v(xi), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects inf and nan
+        vals = np.asarray(v(xi), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise InvalidSpec("potential is not finite on the grid interior")
     h_mat = np.negative(d2, out=d2)

@@ -99,8 +99,11 @@ def is_pt_symmetric(spec, xs=None) -> bool:
     """Sampled check of V(-x)* == V(x) on a grid symmetric about the origin.
 
     Defaults to 201 points on [-8, 8].  V is evaluated once, on xs and -xs
-    together.  The generalized Poschl-Teller family passes only for c = 0
-    (any gamma); the complexified Morse family never passes.
+    together, and the largest defect |V(-x)* - V(x)| must not exceed
+    PT_CHECK_TOL times the largest |V| over the samples, so tiny couplings
+    are judged as large ones are.  The generalized Poschl-Teller family
+    passes only for c = 0 (any gamma); the complexified Morse family never
+    passes.
     """
     if xs is None:
         samples = _PT_SAMPLES
@@ -109,11 +112,16 @@ def is_pt_symmetric(spec, xs=None) -> bool:
         samples = np.concatenate((xs, -xs))
     v = spec.potential(samples)
     half = len(samples) // 2
-    return float(np.max(np.abs(np.conj(v[half:]) - v[:half]))) < PT_CHECK_TOL
+    defect = float(np.max(np.abs(np.conj(v[half:]) - v[:half])))
+    return defect <= PT_CHECK_TOL * float(np.max(np.abs(v)))
 
 
-def _classification_of(kinds: set[BranchKind]) -> Classification:
-    """The phase of a spectrum whose level-emitting branches have these kinds."""
+def _classification_of(kinds: list[BranchKind]) -> Classification:
+    """The phase of a spectrum whose regular branches have these kinds.
+
+    Every regular branch emits at least one level (m_re clears 1/2 by more
+    than level_count's guard), so the branch kinds alone fix the phase.
+    """
     if not kinds:
         return Classification.EMPTY
     if BranchKind.COMPLEX_PAIR_MEMBER in kinds:
@@ -135,7 +143,7 @@ def classify(spec, branches: list[AlgebraicSolution]) -> SpectrumReport:
     return SpectrumReport(
         spec=spec,
         branches=pairs,
-        classification=_classification_of({sol.branch_kind for sol, levels in pairs if levels}),
+        classification=_classification_of([sol.branch_kind for sol in branches]),
         pt_symmetric=is_pt_symmetric(spec),
         threshold_distance=spec.threshold_distance(),
         reality_condition_residual=spec.reality_residual(),
@@ -168,36 +176,31 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-_NO_LEVELS = dict.fromkeys(BranchKind, 0)  # level count per branch kind, copied per sample
-
-
 def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[PhaseDiagramRow]:
     """Sweep the family's natural parameter and log the phase of each sample.
 
     Scarf/Poschl-Teller sweep v2 across the critical coupling v1 + 1/4;
     Morse-AB sweeps delta_p across gamma_p.  Each row counts real levels and
     complex-conjugate level pairs (unpaired complex Morse levels contribute
-    to neither count; the classification column carries the phase).
+    to neither count; the classification column carries the phase).  Levels
+    are counted from each sample's branch rows; no branch object is built.
     """
     rows = []
     for value in sweep_values(start, stop, step):
         try:
-            branches = families.solve(families.with_swept_value(base_spec, value))
+            branch_rows = families.with_swept_value(base_spec, value).branch_rows()
         except families.NoRegularBranch:
             rows.append(PhaseDiagramRow(value, 0, 0, Classification.EMPTY))
             continue
-        counts = _NO_LEVELS.copy()
-        for sol in branches:
-            counts[sol.branch_kind] += level_count(sol.n_max_exclusive)
-        kinds = {kind for kind, count in counts.items() if count}
-        rows.append(
-            PhaseDiagramRow(
-                value,
-                counts[BranchKind.REAL_SERIES],
-                counts[BranchKind.COMPLEX_PAIR_MEMBER] // 2,
-                _classification_of(kinds),
-            )
-        )
+        real = paired = 0
+        for _, kind, m_re, _, _ in branch_rows:
+            count = level_count(m_re - 0.5)  # every branch, so the cap holds for each
+            if kind is BranchKind.REAL_SERIES:
+                real += count
+            elif kind is BranchKind.COMPLEX_PAIR_MEMBER:
+                paired += count
+        kinds = [row[1] for row in branch_rows]
+        rows.append(PhaseDiagramRow(value, real, paired // 2, _classification_of(kinds)))
     return rows
 
 

@@ -133,6 +133,29 @@ class TestAnalyze:
         jsonschema.validate(doc, load_schema())
         assert doc["classification"] == "Empty"
         assert doc["branches"] == []
+        assert doc["pt_symmetric"] is False
+
+    def test_tiny_morse_couplings_are_not_pt_symmetric(self, capsys):
+        # |V| <= 2e-12 on the samples: the PT defect is judged relative to |V|
+        code, out = run_cli(
+            capsys,
+            ["analyze", "--family", "morse-ab", "--A", "1e-16", "--B", "1e-16",
+             "--gamma-p", "3", "--delta-p", "5"],
+        )
+        assert code == 3
+        assert json.loads(out)["pt_symmetric"] is False
+
+    def test_largest_coupling_is_written_finite(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):  # sinh(x - c) in the PT check
+            code, out = run_cli(
+                capsys,
+                ["analyze", "--family", "poschl-teller", "--v1", "2", "--v2", "1",
+                 "--c", repr(families.MAX_COUPLING), "--contour-gamma", "0.3"],
+            )
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["parameters"]["c"] == families.MAX_COUPLING
+        assert all(branch["c"] == families.MAX_COUPLING for branch in doc["branches"])
 
 
 class TestScan:
@@ -235,6 +258,32 @@ class TestVerify:
         )
         assert code == 3
 
+    # V overflows at the far grid points of these boxes; discretize rejects a
+    # non-finite V and must not warn on the way
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--family", "scarf2", "--v1", "9.75", "--v2", "6",
+              "--x-min=-1e70", "--x-max=1e70", "--n-points", "100"], 4),
+            (["--family", "poschl-teller", "--v1", "9.75", "--v2", "6",
+              "--x-min=-800", "--x-max=800", "--n-points", "400"], 2),
+        ],
+        ids=["scarf-1e70-table", "gpt-800-rejected"],
+    )
+    def test_wide_box_overflow_prints_no_warning(self, capsys, argv, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 4:
+            header, rows = parse_csv(captured.out)
+            assert header[0] == "E_closed_re" and rows
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: potential is not finite on the grid interior\n"
+
 
 class TestWavefunction:
     def test_reference_value_exact(self, capsys):
@@ -336,6 +385,9 @@ BAD_INPUTS = {
                          "--gamma-p", "3", "--delta-p", "3"],
     "morse-v1-1e308": ["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
                        "--v2r", "1", "--v2i", "1"],
+    # c rounds to inf at 15 digits: the document would say "c": Infinity
+    "gpt-c-rounds-to-inf": ["analyze", "--family", "poschl-teller", "--v1", "2", "--v2", "1",
+                            "--c", "1.7976931348623157e308", "--contour-gamma", "0.3"],
     "verify-over-dense-cap": ["verify", *SCARF, "--n-points", "4100"],
     "verify-n-points-0": ["verify", *SCARF, "--n-points", "0"],
     "wavefunction-n-points-0": ["wavefunction", *SCARF, "--n-points", "0"],
@@ -485,8 +537,9 @@ class TestFamilyContract:
 
     def test_non_finite_couplings_rejected(self, cls):
         spec = EXAMPLES[cls.family]
+        over = math.nextafter(families.MAX_COUPLING, math.inf)
         for f in fields(cls):
-            for bad in (math.nan, math.inf, -math.inf):
+            for bad in (math.nan, math.inf, -math.inf, over, -over):
                 with pytest.raises(InvalidSpec):
                     replace(spec, **{f.name: bad})
 
@@ -559,8 +612,7 @@ def _report(spec):
 @example(families.ScarfSpec(9.75, 10.0))  # exact threshold
 @example(families.ScarfSpec(1600.0, 3.0))  # 40 levels per branch
 @example(families.MorseABSpec(1e-160, 1e-160, 3.0, 5.0))  # no branch, subnormal residual
-# c rounds to inf at 15 digits and is written Infinity, as json.dumps writes it
-@example(families.PoschlTellerSpec(2.0, 1.0, 1.7976931348623157e308, 0.3))
+@example(families.PoschlTellerSpec(2.0, 1.0, families.MAX_COUPLING, 0.3))  # largest c
 @example(EXAMPLES["scarf2"])
 @example(EXAMPLES["poschl-teller"])
 @example(EXAMPLES["morse"])
@@ -595,10 +647,27 @@ def test_json_text_of_analyze_documents(family):
     assert (json.loads(text)["branches"] == []) == (family == "empty")
 
 
+# Where the one .15g format of _num turns: integral values, the [1e15, 1e16)
+# range repr writes positionally, the smallest normals, the top of the range
+# (rounding to inf past ~1.797693134862315e308), subnormals and non-finites.
 @given(st.floats())
 @example(-0.0)
+@example(3.0)
+@example(100.0)
 @example(5e-324)
-@example(1.7976931348623157e308)
+@example(999999999999999.4)
+@example(999999999999999.9)
+@example(1e15)
 @example(9.999999999999995e15)
+@example(1e16)
+@example(2.2250738585072014e-308)
+@example(2.225073858507201e-308)
+@example(1e-307)
+@example(1.79769313486231e308)
+@example(1.797693134862315e308)
+@example(1.7976931348623157e308)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
 def test_number_text_matches_json_dumps(x):
     assert _num(x) == json.dumps(float(f"{x + 0.0:.15g}"))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from sl2spectra import (
@@ -20,7 +20,7 @@ from sl2spectra import (
     scan_threshold,
     solve,
 )
-from sl2spectra.families import FAMILIES, BranchKind, with_swept_value
+from sl2spectra.families import FAMILIES, REG_TOL, BranchKind, with_swept_value
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
     MAX_SWEEP_SAMPLES,
@@ -93,17 +93,23 @@ class TestClassify:
 
 
 def two_call_pt_check(spec, xs=None) -> bool:
-    """Reference form of is_pt_symmetric: V sampled on xs and on -xs in two calls."""
+    """Reference form of is_pt_symmetric: V sampled on xs and on -xs in two calls.
+
+    The defect may be at most PT_CHECK_TOL times the largest |V| sampled.
+    """
     if xs is None:
         xs = np.linspace(-8.0, 8.0, 201)
     xs = np.asarray(xs, dtype=float)
     v_plus = spec.potential(xs)
     v_minus = spec.potential(-xs)
-    return float(np.max(np.abs(np.conj(v_minus) - v_plus))) < PT_CHECK_TOL
+    scale = max(np.max(np.abs(v_plus)), np.max(np.abs(v_minus)))
+    return float(np.max(np.abs(np.conj(v_minus) - v_plus))) <= PT_CHECK_TOL * scale
 
 
+# Morse-AB couplings so small that |V| <= 2e-12 on the samples, and subnormal
+TINY_MORSE = [MorseABSpec(1e-16, 1e-16, 3.0, 5.0), MorseABSpec(1e-160, 1e-160, 3.0, 5.0)]
 # One example per family, gPT with its contour nearly centred, and Morse-AB
-# on and off its reality condition
+# on and off its reality condition and with tiny couplings
 PT_SPECS = [
     ScarfSpec(9.75, 6.0),
     ScarfSpec(0.0, 5.0),
@@ -112,6 +118,7 @@ PT_SPECS = [
     MorseSpec(0.5, 2.0, 3.0, 1.5),
     MorseABSpec(1.0, 1.0, 3.0, 5.0),
     MorseABSpec(1.0, 1.0, 3.0, 3.0),
+    *TINY_MORSE,
 ]
 
 
@@ -127,6 +134,8 @@ class TestPTSymmetry:
     def test_morse_never(self):
         assert not is_pt_symmetric(MorseABSpec(1, 1, 3, 3))
         assert not is_pt_symmetric(MorseABSpec(1, 1, 3, 5))
+        for spec in TINY_MORSE:
+            assert not is_pt_symmetric(spec)
 
     def test_requires_symmetric_samples(self):
         xs = np.linspace(-6, 6, 121)
@@ -279,5 +288,73 @@ def sweeps(draw):
 @example((ScarfSpec(0.0, 0.05), 0.05, 0.3, 0.05))  # no regular branch
 @example((MorseABSpec(1.0, 1.0, 3.0, 2.0), 2.0, 4.0, 0.5))  # delta_p = gamma_p on a sample
 @example((MorseABSpec(1.0, 1.0, 0.5, 0.0), 0.0, 1.0, 0.25))  # no regular branch
+# m_re = 0.5 * sqrt(0.25 + v2) sweeps through 0.5 + REG_TOL, where branches
+# start to count, and through 3.5 (level_count's guard at n_max_exclusive = 3)
+@example((ScarfSpec(0.0, 0.75), 0.75 - 4e-11, 0.75 + 4e-11, 1e-12))
+@example((ScarfSpec(0.0, 48.75), 48.75 - 4e-10, 48.75 + 4e-10, 1e-11))
+# m_re = 0.5 + (gamma_p + delta_p - 2) / 4 for A = |B|: the same two edges,
+# the second on real samples (delta_p within ~7e-12 of gamma_p)
+@example((MorseABSpec(1.0, 1.0, 1.0, 1.0), 1.0 - 2e-11, 1.0 + 2e-11, 1e-12))
+@example((MorseABSpec(1.0, -1.0, 7.0, 7.0), 7.0 - 4e-11, 7.0 + 4e-11, 2e-12))
 def test_scan_rows_match_enumerated_counts(sweep):
     assert scan_threshold(*sweep) == enumerated_scan(*sweep)
+
+
+@st.composite
+def near_margin_specs(draw):
+    """Scarf, gPT or Morse-AB specs whose m_re lands within ~16 ulps of 0.5 + REG_TOL.
+
+    Scarf/gPT with v1 = 0 above the threshold have m_re = 0.5 * sqrt(0.25 + |v2|);
+    Morse-AB with A = |B| = 1 has m_re = 0.5 + (gamma_p + delta_p - 2) / 4.
+    """
+    family = draw(st.sampled_from(["scarf2", "poschl-teller", "morse-ab"]))
+    ulps = draw(st.integers(-64, 64))
+    if family == "morse-ab":
+        delta_p = 1.0 + 4 * REG_TOL
+        for _ in range(abs(ulps)):
+            delta_p = math.nextafter(delta_p, math.copysign(math.inf, ulps))
+        return MorseABSpec(1.0, draw(st.sampled_from([-1.0, 1.0])), 1.0, delta_p)
+    v2 = (1.0 + 2 * REG_TOL) ** 2 - 0.25
+    for _ in range(abs(ulps)):
+        v2 = math.nextafter(v2, math.copysign(math.inf, ulps))
+    v2 = draw(st.sampled_from([-1.0, 1.0])) * v2
+    if family == "scarf2":
+        return ScarfSpec(0.0, v2)
+    return PoschlTellerSpec(0.0, v2, draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 0.75)))
+
+
+@st.composite
+def any_specs(draw):
+    """A spec of any family with moderate couplings; invalid draws are rejected."""
+    cls = draw(st.sampled_from(list(FAMILIES.values())))
+    couplings = [draw(st.floats(-60.0, 60.0)) for _ in range(4)]
+    try:
+        if cls is ScarfSpec:
+            return ScarfSpec(abs(couplings[0]), couplings[1])
+        if cls is PoschlTellerSpec:
+            return PoschlTellerSpec(couplings[0], couplings[1], couplings[2] / 30, 0.3)
+        if cls is MorseABSpec:
+            return MorseABSpec(abs(couplings[0]) / 20, *(c / 6 for c in couplings[1:]))
+        return MorseSpec(*couplings)
+    except InvalidSpec:
+        reject()
+
+
+@given(near_margin_specs() | any_specs())
+@example(ScarfSpec(0.0, (1.0 + 2 * REG_TOL) ** 2 - 0.25))
+@example(MorseABSpec(1.0, 1.0, 1.0, 1.0 + 4 * REG_TOL))
+def test_every_regular_branch_emits_a_level(spec):
+    """_strictly_above(m_re, 0.5) implies level_count(m_re - 0.5) >= 1.
+
+    classify and scan_threshold rely on it: they classify by branch kinds alone.
+    """
+    try:
+        branches = solve(spec)
+    except NoRegularBranch:
+        return
+    for sol in branches:
+        try:
+            count = level_count(sol.n_max_exclusive)
+        except InvalidSpec:  # more levels than MAX_LEVEL_COUNT
+            reject()
+        assert count >= 1
