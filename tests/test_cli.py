@@ -122,28 +122,20 @@ class TestAnalyze:
         assert doc["branches"] == []
 
     def test_tiny_morse_couplings_exit_3_with_empty_document(self, capsys):
-        # b_re = A misses the regularity margin: no branch, not an internal error
-        code, out = run_cli(
-            capsys,
-            ["analyze", "--family", "morse-ab", "--A", "1e-160", "--B", "1e-160",
-             "--gamma-p", "3", "--delta-p", "5"],
-        )
-        assert code == 3
-        doc = json.loads(out)
-        jsonschema.validate(doc, load_schema())
-        assert doc["classification"] == "Empty"
-        assert doc["branches"] == []
-        assert doc["pt_symmetric"] is False
-
-    def test_tiny_morse_couplings_are_not_pt_symmetric(self, capsys):
-        # |V| <= 2e-12 on the samples: the PT defect is judged relative to |V|
-        code, out = run_cli(
-            capsys,
-            ["analyze", "--family", "morse-ab", "--A", "1e-16", "--B", "1e-16",
-             "--gamma-p", "3", "--delta-p", "5"],
-        )
-        assert code == 3
-        assert json.loads(out)["pt_symmetric"] is False
+        # b_re = A misses the regularity margin: no branch, not an internal error.
+        # |V| <= 2e-12 on the PT samples: the defect is judged relative to |V|.
+        for size in ("1e-160", "1e-16"):
+            code, out = run_cli(
+                capsys,
+                ["analyze", "--family", "morse-ab", "--A", size, "--B", size,
+                 "--gamma-p", "3", "--delta-p", "5"],
+            )
+            assert code == 3
+            doc = json.loads(out)
+            jsonschema.validate(doc, load_schema())
+            assert doc["classification"] == "Empty"
+            assert doc["branches"] == []
+            assert doc["pt_symmetric"] is False
 
     def test_largest_coupling_is_written_finite(self, capsys):
         with np.errstate(over="ignore", invalid="ignore"):  # sinh(x - c) in the PT check
