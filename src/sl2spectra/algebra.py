@@ -34,6 +34,8 @@ from .errors import BranchCutCrossing, GridTooCoarse, SingularPoint
 GAMMA_MIN = -np.pi / 4
 GAMMA_MAX = np.pi / 4
 SINGULAR_EPS = 1e-12
+# Coarsest grid spacing the finite-difference stencils accept.
+MAX_GRID_SPACING = 0.1
 
 
 class PotentialClass(Enum):
@@ -142,14 +144,15 @@ class GridFunction:
     def spacing(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def require_uniform(self, max_spacing: float = 0.1, min_points: int = 5):
+    def require_uniform(self, min_points: int):
+        """Raise GridTooCoarse unless xs is uniform, MAX_GRID_SPACING fine, min_points long."""
         dx = np.diff(self.xs)
         if self.xs.size < min_points:
             raise GridTooCoarse(f"need at least {min_points} points, got {self.xs.size}")
         if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
             raise GridTooCoarse("grid spacing is not uniform")
-        if dx[0] > max_spacing:
-            raise GridTooCoarse(f"spacing {dx[0]:.4g} exceeds {max_spacing}")
+        if dx[0] > MAX_GRID_SPACING:
+            raise GridTooCoarse(f"spacing {dx[0]:.4g} exceeds {MAX_GRID_SPACING}")
 
 
 def _detect_branch_cut(w: np.ndarray, what: str):
@@ -225,7 +228,7 @@ def apply_ladder(psi: GridFunction, m: complex, r: RealizationParams) -> GridFun
     edges), so the output keeps the input's grid.  Raising an eigenfunction
     of (V_m, E) yields an (unnormalized) eigenfunction of (V_{m+1}, E).
     """
-    psi.require_uniform(max_spacing=0.1, min_points=5)
+    psi.require_uniform(min_points=5)
     m = complex(m)
     dpsi = _diff1(psi.values, psi.spacing)
     out = dpsi - (m + 0.5) * r.f(psi.xs) * psi.values + r.g(psi.xs) * psi.values

@@ -72,7 +72,7 @@ class RunConfig:
     grid: oracle.Grid | None = None
     tol: float = oracle.DEFAULT_MATCH_TOL
     decay_gate: float = oracle.DEFAULT_DECAY_GATE
-    residual_tol: float = 1e-5
+    residual_tol: float = oracle.DEFAULT_RESIDUAL_TOL
     epsilon: int = 1
     n: int = 0
     sweep: tuple[float, float, float] | None = None
@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="decay_gate")
     p_verify.add_argument("--from-file", type=str, default=None, dest="from_file",
                           help="re-ingest an exported wavefunction and check its residual")
-    p_verify.add_argument("--residual-tol", type=float, default=1e-5, dest="residual_tol")
+    p_verify.add_argument("--residual-tol", type=float, default=oracle.DEFAULT_RESIDUAL_TOL,
+                          dest="residual_tol")
     p_verify.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
     p_verify.add_argument("--n", type=int, default=0)
 

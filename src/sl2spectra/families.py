@@ -52,9 +52,10 @@ class FamilySpec:
     `potential_class` (its realization class), `box` (default oracle domain)
     and `sweep_field` (the field `scan` sweeps, or None) and defines
     `potential` and `branch_rows`, which returns a row (epsilon, kind, m_re,
-    m_im, b) per admissible branch or raises NoRegularBranch.  Couplings that
-    are not finite or exceed MAX_COUPLING in magnitude are rejected here, once
-    for every family.
+    m_im, b) per admissible branch or raises NoRegularBranch, and overrides
+    the closed-form hooks below where it differs from the base.  Couplings
+    that are not finite or exceed MAX_COUPLING in magnitude are rejected
+    here, once for every family.
     """
 
     family: ClassVar[str]
@@ -85,6 +86,11 @@ class FamilySpec:
     def reality_residual(self) -> float | None:
         """Residual of the real-spectrum condition for families that have one."""
         return None
+
+    def pt_symmetric(self) -> bool:
+        """Whether V(-x)* == V(x) exactly.  Never for Morse and Morse-AB: v1i != 0
+        (2AB != 0), so conj(v1)*exp(2x) - conj(v2)*exp(x) never equals V(x)."""
+        return False
 
 
 # The symmetric box is wide enough that the shallowest certified level
@@ -142,6 +148,10 @@ class ScarfSpec(FamilySpec):
     def threshold_distance(self) -> float:
         return abs(self.v2) - (self.v1 + 0.25)
 
+    def pt_symmetric(self) -> bool:
+        """Always: sech is even, tanh odd and v1, v2 real, so V(-x)* == V(x)."""
+        return True
+
 
 @dataclass(frozen=True)
 class PoschlTellerSpec(FamilySpec):
@@ -196,6 +206,11 @@ class PoschlTellerSpec(FamilySpec):
         return RealizationParams(PotentialClass.II, self.c, self.contour_gamma, b.real, b.imag)
 
     threshold_distance = ScarfSpec.threshold_distance
+
+    def pt_symmetric(self) -> bool:
+        """Exactly when c == 0: V is an even, real-coefficient function of
+        tau = x - c - i*gamma, so V(-x)* == V(x + 2c), and a decaying V is not periodic."""
+        return self.c == 0
 
 
 @dataclass(frozen=True)

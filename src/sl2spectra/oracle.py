@@ -40,6 +40,8 @@ DENSE_CAP = 4096
 BACKWARD_ERROR_TOL = 1e-10
 DEFAULT_GRID_N = 3000
 DEFAULT_MATCH_TOL = 1e-3
+# Largest `residual` of an exported profile that `verify --from-file` accepts.
+DEFAULT_RESIDUAL_TOL = 1e-5
 # Bound/continuum separation gate on the eigenvector boundary decay.  At the
 # default boxes, genuine bound vectors measure below ~2e-3 while box
 # continuum vectors measure above ~5e-2, so 1e-2 splits the two populations
@@ -295,10 +297,9 @@ class Eigendata:
         return v
 
 
-def boundary_decay(vec: np.ndarray, fraction: float = EDGE_FRACTION) -> float:
-    """Mean |v| over the outer `fraction` of points at each wall, over peak |v|."""
-    n = vec.size
-    k = max(1, int(round(fraction * n)))
+def boundary_decay(vec: np.ndarray) -> float:
+    """Mean |v| over the outer EDGE_FRACTION of points at each wall, over peak |v|."""
+    k = max(1, int(round(EDGE_FRACTION * vec.size)))
     edge = np.concatenate([np.abs(vec[:k]), np.abs(vec[-k:])])
     peak = float(np.abs(vec).max())
     if peak == 0.0:
@@ -398,14 +399,14 @@ def deeper_decaying_levels(
     return out
 
 
-def residual(psi: GridFunction, potential, energy: complex, edge_skip: int = RESIDUAL_EDGE_SKIP) -> float:
+def residual(psi: GridFunction, potential, energy: complex) -> float:
     """Max interior |(-d^2/dx^2 + V - E) psi| / max |psi| on a uniform grid.
 
     The second derivative is the fourth-order centered stencil; the outer
-    edge_skip points at each end are excluded from the max, so one-sided
-    stencils never enter.
+    RESIDUAL_EDGE_SKIP points at each end are excluded from the max, so
+    one-sided stencils never enter.
     """
-    psi.require_uniform(max_spacing=0.1, min_points=16)
+    psi.require_uniform(min_points=16)
     peak = float(np.abs(psi.values).max())
     if peak == 0.0:
         raise EmptyFunction("cannot form a relative residual of the zero function")
@@ -416,7 +417,7 @@ def residual(psi: GridFunction, potential, energy: complex, edge_skip: int = RES
         -vals[:-4] + 16 * vals[1:-3] - 30 * vals[2:-2] + 16 * vals[3:-1] - vals[4:]
     ) / (12 * h * h)
     full = (np.asarray(v(psi.xs[2:-2]), dtype=complex) - energy) * vals[2:-2] - d2
-    lo = max(edge_skip - 2, 0)
+    lo = RESIDUAL_EDGE_SKIP - 2
     hi = full.size - lo
     return float(np.abs(full[lo:hi]).max() / peak)
 

@@ -1,7 +1,8 @@
-"""Spectral reports: level enumeration, branch classification, symmetry checks.
+"""Spectral reports: level enumeration, branch classification, PT symmetry.
 
-Everything here is closed-form bookkeeping on top of the matching solvers;
-the independent numerical verification lives in the oracle module.
+Everything here is closed-form bookkeeping on top of the matching solvers
+and the family specs' hooks; no potential is evaluated.  The independent
+numerical verification lives in the oracle module.
 """
 
 from __future__ import annotations
@@ -10,19 +11,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import families
 from .algebra import energy_level
 from .errors import InvalidSpec
 from .families import AlgebraicSolution, BranchKind
 
-PT_CHECK_TOL = 1e-10
-# Default sample points of is_pt_symmetric: 201 points on [-8, 8], then their
-# mirror images, so that one potential call yields V(x) and V(-x).
-_PT_GRID = np.linspace(-8.0, 8.0, 201)
-_PT_SAMPLES = np.concatenate((_PT_GRID, -_PT_GRID))
-_PT_SAMPLES.flags.writeable = False
 # Levels per branch grow like sqrt(v1).  Far past any level count the oracle
 # can resolve, enumerating them would only exhaust memory.
 MAX_LEVEL_COUNT = 10_000
@@ -95,25 +88,9 @@ def enumerate_levels(sol: AlgebraicSolution) -> list[EigenLevel]:
     ]
 
 
-def is_pt_symmetric(spec, xs=None) -> bool:
-    """Sampled check of V(-x)* == V(x) on a grid symmetric about the origin.
-
-    Defaults to 201 points on [-8, 8].  V is evaluated once, on xs and -xs
-    together, and the largest defect |V(-x)* - V(x)| must not exceed
-    PT_CHECK_TOL times the largest |V| over the samples, so tiny couplings
-    are judged as large ones are.  The generalized Poschl-Teller family
-    passes only for c = 0 (any gamma); the complexified Morse family never
-    passes.
-    """
-    if xs is None:
-        samples = _PT_SAMPLES
-    else:
-        xs = np.asarray(xs, dtype=float).ravel()
-        samples = np.concatenate((xs, -xs))
-    v = spec.potential(samples)
-    half = len(samples) // 2
-    defect = float(np.max(np.abs(np.conj(v[half:]) - v[:half])))
-    return defect <= PT_CHECK_TOL * float(np.max(np.abs(v)))
+def is_pt_symmetric(spec) -> bool:
+    """Whether V(-x)* == V(x) exactly, as the family states it in `spec.pt_symmetric()`."""
+    return spec.pt_symmetric()
 
 
 def _classification_of(kinds: list[BranchKind]) -> Classification:
@@ -214,6 +191,6 @@ def conjugate_pair_closure(report: SpectrumReport) -> float:
     energies = [lv.energy for _, levels in report.branches for lv in levels]
     worst = 0.0
     for e in energies:
-        best = min(abs(e - np.conj(e2)) for e2 in energies)
+        best = min(abs(e - e2.conjugate()) for e2 in energies)
         worst = max(worst, best)
     return worst

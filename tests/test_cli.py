@@ -14,7 +14,6 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -123,7 +122,7 @@ class TestAnalyze:
 
     def test_tiny_morse_couplings_exit_3_with_empty_document(self, capsys):
         # b_re = A misses the regularity margin: no branch, not an internal error.
-        # |V| <= 2e-12 on the PT samples: the defect is judged relative to |V|.
+        # Morse-AB is never PT-symmetric, however small its couplings.
         for size in ("1e-160", "1e-16"):
             code, out = run_cli(
                 capsys,
@@ -138,7 +137,8 @@ class TestAnalyze:
             assert doc["pt_symmetric"] is False
 
     def test_largest_coupling_is_written_finite(self, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):  # sinh(x - c) in the PT check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli(
                 capsys,
                 ["analyze", "--family", "poschl-teller", "--v1", "2", "--v2", "1",
@@ -148,6 +148,18 @@ class TestAnalyze:
         doc = json.loads(out, parse_constant=_reject_constant)
         assert doc["parameters"]["c"] == families.MAX_COUPLING
         assert all(branch["c"] == families.MAX_COUPLING for branch in doc["branches"])
+
+    @pytest.mark.parametrize("c, symmetric", [("1000", False), ("1e-12", False), ("0", True)])
+    def test_poschl_teller_pt_flag_is_exact_and_warning_free(self, capsys, c, symmetric):
+        # V(x) overflows for |x - c| >~ 355, but analyze never evaluates V.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--family", "poschl-teller", "--v1", "2", "--v2", "1",
+                         "--c", c, "--contour-gamma", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["pt_symmetric"] is symmetric
+        assert captured.err == ""
 
 
 class TestScan:
@@ -591,11 +603,10 @@ def analyzed_specs(draw):
 
 
 def _report(spec):
-    with np.errstate(over="ignore", invalid="ignore"):  # sinh(x - c) for |c| ~ 1e16
-        try:
-            return spectrum.analyze(spec)
-        except families.NoRegularBranch:
-            return spectrum.classify(spec, [])
+    try:
+        return spectrum.analyze(spec)
+    except families.NoRegularBranch:
+        return spectrum.classify(spec, [])
 
 
 @settings(max_examples=500)

@@ -24,7 +24,6 @@ from sl2spectra.families import FAMILIES, REG_TOL, BranchKind, with_swept_value
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
     MAX_SWEEP_SAMPLES,
-    PT_CHECK_TOL,
     PhaseDiagramRow,
     classify,
     conjugate_pair_closure,
@@ -92,14 +91,18 @@ class TestClassify:
         assert report.branches == []
 
 
-def two_call_pt_check(spec, xs=None) -> bool:
-    """Reference form of is_pt_symmetric: V sampled on xs and on -xs in two calls.
+# Relative defect gate of the sampled reference below
+PT_CHECK_TOL = 1e-10
 
-    The defect may be at most PT_CHECK_TOL times the largest |V| sampled.
+
+def two_call_pt_check(spec) -> bool:
+    """Numerical reference for is_pt_symmetric: V sampled on x and on -x in two calls.
+
+    x runs over 201 points on [-8, 8]; the defect |V(-x)* - V(x)| may be at
+    most PT_CHECK_TOL times the largest |V| sampled.  It cannot see a gPT
+    contour offset c below ~1e-10, where the exact rule still says False.
     """
-    if xs is None:
-        xs = np.linspace(-8.0, 8.0, 201)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.linspace(-8.0, 8.0, 201)
     v_plus = spec.potential(xs)
     v_minus = spec.potential(-xs)
     scale = max(np.max(np.abs(v_plus)), np.max(np.abs(v_minus)))
@@ -108,18 +111,43 @@ def two_call_pt_check(spec, xs=None) -> bool:
 
 # Morse-AB couplings so small that |V| <= 2e-12 on the samples, and subnormal
 TINY_MORSE = [MorseABSpec(1e-16, 1e-16, 3.0, 5.0), MorseABSpec(1e-160, 1e-160, 3.0, 5.0)]
-# One example per family, gPT with its contour nearly centred, and Morse-AB
+# One example per family, gPT on and off its centred contour, and Morse-AB
 # on and off its reality condition and with tiny couplings
 PT_SPECS = [
     ScarfSpec(9.75, 6.0),
     ScarfSpec(0.0, 5.0),
     PoschlTellerSpec(9.75, -6.0, c=0.3, contour_gamma=-math.pi / 16),
-    *(PoschlTellerSpec(9.75, 6.0, c=c, contour_gamma=math.pi / 8) for c in (0.0, 1e-12, 1e-9)),
+    PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=math.pi / 8),
     MorseSpec(0.5, 2.0, 3.0, 1.5),
     MorseABSpec(1.0, 1.0, 3.0, 5.0),
     MorseABSpec(1.0, 1.0, 3.0, 3.0),
     *TINY_MORSE,
 ]
+
+
+def nonzero(lo, hi):
+    return st.floats(lo, hi).filter(lambda x: x != 0)
+
+
+@st.composite
+def pt_specs(draw):
+    """A spec of any family; a gPT contour offset c is 0 or at least 1e-6 in magnitude."""
+    family = draw(st.sampled_from(list(FAMILIES)))
+    try:
+        if family == "scarf2":
+            return ScarfSpec(draw(st.floats(0, 100)), draw(nonzero(-100, 100)))
+        if family == "poschl-teller":
+            c = draw(st.one_of(st.just(0.0), st.floats(1e-6, 5)))
+            c = -c if draw(st.booleans()) else c
+            gamma = draw(nonzero(-0.78, 0.78))
+            return PoschlTellerSpec(draw(st.floats(-0.24, 100)), draw(nonzero(-100, 100)), c, gamma)
+        if family == "morse":
+            return MorseSpec(draw(st.floats(-100, 100)), draw(nonzero(-100, 100)),
+                             draw(st.floats(-100, 100)), draw(st.floats(-100, 100)))
+        return MorseABSpec(draw(st.floats(0.01, 10)), draw(nonzero(-10, 10)),
+                           draw(st.floats(-10, 10)), draw(st.floats(-10, 10)))
+    except InvalidSpec:
+        reject()
 
 
 class TestPTSymmetry:
@@ -129,7 +157,10 @@ class TestPTSymmetry:
 
     def test_poschl_teller_requires_centered_contour(self):
         assert is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=math.pi / 8))
-        assert not is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8))
+        assert is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=-0.0, contour_gamma=-0.7))
+        # Below ~1e-10 the sampled reference cannot see the offset; the rule can.
+        for c in (0.5, 1e-9, 1e-12, -1e-12):
+            assert not is_pt_symmetric(PoschlTellerSpec(9.75, 6.0, c=c, contour_gamma=math.pi / 8))
 
     def test_morse_never(self):
         assert not is_pt_symmetric(MorseABSpec(1, 1, 3, 3))
@@ -137,15 +168,19 @@ class TestPTSymmetry:
         for spec in TINY_MORSE:
             assert not is_pt_symmetric(spec)
 
-    def test_requires_symmetric_samples(self):
-        xs = np.linspace(-6, 6, 121)
-        assert is_pt_symmetric(ScarfSpec(2.0, 1.0), xs)
+    def test_evaluates_no_potential(self, monkeypatch):
+        expected = [two_call_pt_check(spec) for spec in PT_SPECS]
+        for cls in FAMILIES.values():
+            monkeypatch.setattr(cls, "potential", None)
+        assert [is_pt_symmetric(spec) for spec in PT_SPECS] == expected
 
     @pytest.mark.parametrize("spec", PT_SPECS, ids=repr)
     def test_one_call_matches_two_calls(self, spec):
         assert is_pt_symmetric(spec) == two_call_pt_check(spec)
-        xs = np.linspace(-6, 6, 121)
-        assert is_pt_symmetric(spec, xs) == two_call_pt_check(spec, xs)
+
+    @given(pt_specs())
+    def test_rule_matches_sampled_reference(self, spec):
+        assert is_pt_symmetric(spec) == two_call_pt_check(spec)
 
     def test_equivalence_covers_both_verdicts_and_every_family(self):
         assert {type(spec) for spec in PT_SPECS} == set(FAMILIES.values())
