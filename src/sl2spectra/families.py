@@ -185,8 +185,18 @@ class PoschlTellerSpec(FamilySpec):
 
     def potential(self, x):
         tau = np.asarray(x, dtype=complex) - self.c - 1j * self.contour_gamma
-        csch2 = 1.0 / np.sinh(tau) ** 2
-        return self.v1 * csch2 - self.v2 * csch2 * np.cosh(tau)
+        # sinh(tau)**2 overflows from |Re tau| ~ 355 on, although V -> 0 there.
+        # Past 350 V takes the form (4 v1 q - 2 v2 e^{-s} (1 + q)) / (1 - q)^2
+        # with s = +-tau, Re s > 0 (V is even in tau) and q = e^{-2s}; each
+        # form gets a harmless stand-in argument where the other one is used.
+        far = np.abs(tau.real) > 350.0
+        near = np.where(far, 1.0, tau)
+        csch2 = 1.0 / np.sinh(near) ** 2
+        v_near = self.v1 * csch2 - self.v2 * csch2 * np.cosh(near)
+        s = np.where(far, np.where(tau.real > 0, tau, -tau), 400.0)
+        q = np.exp(-2.0 * s)
+        v_far = (4.0 * self.v1 * q - 2.0 * self.v2 * np.exp(-s) * (1.0 + q)) / (1.0 - q) ** 2
+        return np.where(far, v_far, v_near)
 
     def branch_rows(self):
         """All admissible class-II branches of the generalized Poschl-Teller potential.

@@ -13,15 +13,17 @@ P conj(H) P = H, where P reverses the grid order.  Such a matrix is
 unitarily similar to the real matrix A = Re H - P Im H (the unitary is
 Q = e^{-i pi/4} (I + iP) / sqrt(2)), so the dense eigensolve runs in real
 arithmetic with the same spectrum and a backward error of the same size.
-The choice is made from the matrix alone: any other matrix (Morse, gPT with
-c != 0, an asymmetric box) takes the complex solver.
+The choice is made from the operator alone: any other operator (Morse, gPT
+with c != 0, an asymmetric box) takes the complex solver.
 
-Only the dense solves need scipy, and they import it when they first run, so
-the closed-form paths (analyze, scan, wavefunction, verify --from-file) never
-load it.  `discretize` returns H in Fortran order, LAPACK's layout, and
-`eigvals_complex` diagonalizes it in its own buffer on either path (the real
-form is written over the front half of H), so a verify run holds one N x N
-matrix and no copy of it.
+`banded_form` is the one place H is built, as its five bands: inverse
+iteration solves with them, and the PT check reads them.  `Eigendata.from_bands`
+expands them once into the Fortran-ordered N x N matrix, LAPACK's layout,
+that is diagonalized in place: one complex N x N allocation holds H, or the
+real form written into its front half.  A verify run holds that one N x N
+matrix and no copy of it.  Only the dense solves need scipy, and they import
+it when they first run, so the closed-form paths (analyze, scan,
+wavefunction, verify --from-file) never load it.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ EDGE_FRACTION = 0.05
 # than the dense solver's own rounding.  The FD matrices of PT-symmetric
 # specs measure ~1e-17 here, Morse-AB ~1e-1.
 PT_TOL = 1e-14
-# Rows per block of the PT check.  Its two block temporaries, 2 x 8 x N
-# complex, stay under 3 % of H from N = 600 up; 8 rows check as fast as 64.
-PT_CHECK_ROWS = 8
-# Columns per block when the real form is written into H's own buffer.  The
-# one block temporary, N x 64 doubles, is 32/N of H: 5 % at N = 600.
-REAL_FORM_COLS = 64
+# LAPACK's xGEEV rescales a matrix whose largest entry is below
+# sqrt(safe minimum) / eps (~6.72e-139), and the eigenvalues it returns after
+# that rescale are wrong: the spectrum of Scarf(9.75, 6) at 100 points,
+# against that of the same operator scaled by h^2, is off by 5.1e-15
+# relative on a +-1e70 box, by 9.7e-2 at +-1e71 and by 1.1e14 at +-1e78.
+# `banded_form` rejects such an H.
+LAPACK_SCALE_FLOOR = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 RESIDUAL_EDGE_SKIP = 5
 
 
@@ -109,18 +112,19 @@ def _check_dense_cap(m: int) -> None:
         raise InvalidSpec(f"dense solver capped at N = {DENSE_CAP}, got {m}")
 
 
-def discretize(potential, grid: Grid) -> np.ndarray:
-    """Dense H = -D2 + diag(V) on the interior points, Dirichlet at the walls.
+def banded_form(potential, grid: Grid) -> np.ndarray:
+    """H = -D2 + diag(V) on the interior points as its five bands, Dirichlet at the walls.
 
     D2 is the fourth-order centered second-derivative stencil
     (-1, 16, -30, 16, -1)/(12 h^2); the two rows adjacent to each wall fall
-    back to the second-order stencil, whose support fits the boundary.
-    H is a complex, Fortran-ordered (column-major) array built in one buffer,
-    the layout in which `eigvals_complex` diagonalizes it without a copy.
+    back to the second-order stencil, whose support fits the boundary.  The
+    bands are complex, in scipy.linalg.solve_banded layout (u = l = 2):
+    ab[2 + i - j, j] = H[i, j], with zeros in the corners that no row reaches.
     A grid with more than DENSE_CAP interior points, or whose h^2 or 1/h^4
     overflows or falls below the smallest normal double, raises InvalidSpec
     before anything is allocated or the potential is evaluated; a potential
-    that is not finite on the interior raises InvalidSpec without a warning.
+    that is not finite on the interior raises InvalidSpec without a warning,
+    and so does an H whose largest entry is below LAPACK_SCALE_FLOOR.
     """
     m = grid.n_points - 2
     _check_dense_cap(m)
@@ -133,50 +137,67 @@ def discretize(potential, grid: Grid) -> np.ndarray:
             f"grid spacing {h:.6g} puts h^2 or 1/h^4 outside the normal double range"
         )
     v = _as_potential(potential)
-    xi = grid.interior
-    d2 = np.zeros((m, m), dtype=complex, order="F")
-    idx = np.arange(m)
-    d2[idx, idx] = -30.0 / 12.0
-    d2[idx[:-1], idx[:-1] + 1] = 16.0 / 12.0
-    d2[idx[1:], idx[1:] - 1] = 16.0 / 12.0
-    d2[idx[:-2], idx[:-2] + 2] = -1.0 / 12.0
-    d2[idx[2:], idx[2:] - 2] = -1.0 / 12.0
-    for j in (0, 1, m - 2, m - 1):
-        d2[j, :] = 0.0
-        d2[j, j] = -2.0
-        if j - 1 >= 0:
-            d2[j, j - 1] = 1.0
-        if j + 1 < m:
-            d2[j, j + 1] = 1.0
-    d2 /= h * h
     with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects inf and nan
-        vals = np.asarray(v(xi), dtype=complex)
+        vals = np.asarray(v(grid.interior), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise InvalidSpec("potential is not finite on the grid interior")
-    h_mat = np.negative(d2, out=d2)
-    h_mat[idx, idx] += vals
-    return h_mat
-
-
-def banded_form(h_mat: np.ndarray) -> np.ndarray:
-    """Pentadiagonal bands of H in scipy.linalg.solve_banded layout (u = l = 2)."""
-    m = h_mat.shape[0]
+    # row i of D2 holds weights[i] at columns i-2 .. i+2
+    weights = np.tile((-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0), (m, 1))
+    weights[[0, 1, m - 2, m - 1]] = (0.0, 1.0, -2.0, 1.0, 0.0)
     ab = np.zeros((5, m), dtype=complex)
-    for d in range(-2, 3):
-        diag = np.diagonal(h_mat, d)
-        ab[2 - d, max(d, 0) : max(d, 0) + diag.size] = diag
+    for k, lo, hi in _band_spans(m):
+        ab[2 - k, lo:hi] = weights[lo - k : hi - k, 2 + k]
+    ab /= h * h
+    np.negative(ab, out=ab)
+    ab[2] += vals
+    peak = float(np.abs(ab).max())
+    if peak < LAPACK_SCALE_FLOOR:
+        raise InvalidSpec(
+            f"largest operator entry {peak:.3g} is below {LAPACK_SCALE_FLOOR:.3g}, "
+            "where the dense eigensolver rescales and loses the spectrum"
+        )
     return ab
 
 
+def _band_spans(m: int) -> list[tuple[int, int, int]]:
+    """(k, lo, hi) per band: band k holds H[j - k, j] in ab[2 - k, j] for j in [lo, hi)."""
+    return [(k, max(k, 0), m + min(k, 0)) for k in range(-2, 3)]
+
+
+def _dense_form(ab: np.ndarray, real_form: bool) -> np.ndarray:
+    """The N x N matrix with bands ab, Fortran-ordered, from one complex N x N allocation.
+
+    Without real_form it is H itself.  With it, it is the real form
+    A = Re H - P Im H of a PT-symmetric H, a real view of the allocation's
+    first N^2 doubles: Re H on the five bands, less each band's imaginary
+    part reflected by P onto its anti-band ((P Im H)[m-1-i, j] = Im H[i, j]).
+    The rest of the allocation is never written.
+    """
+    m = ab.shape[1]
+    h_mat = np.zeros((m, m), dtype=complex, order="F")
+    flat = h_mat.reshape(-1, order="F")  # a view: H[i, j] is flat[i + j m]
+    if real_form:
+        flat = flat.view(np.float64)[: m * m]
+    for k, lo, hi in _band_spans(m):
+        band = ab[2 - k, lo:hi]
+        flat[lo * (m + 1) - k :: m + 1][: hi - lo] = band.real if real_form else band
+    if not real_form:
+        return h_mat
+    for k, lo, hi in _band_spans(m):
+        flat[m - 1 + k + lo * (m - 1) :: m - 1][: hi - lo] -= ab[2 - k, lo:hi].imag
+    return flat.reshape((m, m), order="F")
+
+
+def discretize(potential, grid: Grid) -> np.ndarray:
+    """Dense H = -D2 + diag(V): the bands of `banded_form`, which checks the grid
+    and V, expanded into a complex, Fortran-ordered (column-major) N x N array."""
+    return _dense_form(banded_form(potential, grid), real_form=False)
+
+
 def banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = v.size
     y = np.zeros_like(v)
-    for d in range(-2, 3):
-        row = 2 - d
-        if d >= 0:
-            y[: m - d] += ab[row, d:] * v[d:]
-        else:
-            y[-d:] += ab[row, : m + d] * v[: m + d]
+    for k, lo, hi in _band_spans(v.size):  # y[j - k] += H[j - k, j] v[j]
+        y[lo - k : hi - k] += ab[2 - k, lo:hi] * v[lo:hi]
     return y
 
 
@@ -184,63 +205,30 @@ def _sorted_by_value(w: np.ndarray) -> np.ndarray:
     return np.lexsort((w.imag, w.real))
 
 
-def _pt_real_form(h_mat: np.ndarray) -> bool:
+def _pt_symmetric(ab: np.ndarray) -> bool:
     """Whether P conj(H) P = H to PT_TOL * ||H||_F, P the reversal of the grid order.
 
-    (P conj(H) P)[i, j] = conj(H[m-1-i, m-1-j]); the matrix is read in blocks
-    of PT_CHECK_ROWS rows.  A non-finite entry fails the check.  A
-    Fortran-ordered H is checked as its transpose, whose rows are contiguous:
-    P conj(H^T) P = H^T exactly when P conj(H) P = H, entry for entry.
+    (P conj(H) P)[i, j] = conj(H[m-1-i, m-1-j]), whose bands are
+    ab[::-1, ::-1].conj(): the reversal maps each band onto its mirror and
+    the zero corners of ab onto each other, and the entries off the bands are
+    zero on both sides, so this is the check on the whole matrix.  A
+    non-finite entry fails it.
     """
-    if h_mat.flags.f_contiguous:
-        h_mat = h_mat.T
-    m = h_mat.shape[0]
-    flipped = h_mat[::-1, ::-1]
-    defect = sq_norm = 0.0
-    for lo in range(0, m, PT_CHECK_ROWS):
-        block = h_mat[lo : lo + PT_CHECK_ROWS]
-        defect = max(defect, float(np.abs(block - flipped[lo : lo + PT_CHECK_ROWS].conj()).max()))
-        sq_norm += float(np.vdot(block, block).real)
-    bound = PT_TOL * math.sqrt(sq_norm)
+    defect = float(np.abs(ab - ab[::-1, ::-1].conj()).max())
+    bound = PT_TOL * float(np.linalg.norm(ab))
     return math.isfinite(bound) and defect <= bound
 
 
-def _real_form_in_place(h_mat: np.ndarray) -> np.ndarray:
-    """A = Re H - P Im H, written into the first N^2 doubles of h_mat's buffer.
-
-    Returns A as a Fortran-ordered real N x N view of that buffer.  Column j of
-    A needs only column j of H, and the doubles written for columns [lo, hi)
-    end at hi N, while every later source column starts at 2 hi N or beyond,
-    so no unread column is overwritten.  Each block of REAL_FORM_COLS columns
-    goes through one small temporary.  A non-Fortran-ordered h_mat is first
-    made Fortran-ordered (a copy).
-    """
-    h_mat = np.asfortranarray(h_mat)
-    m = h_mat.shape[0]
-    flat = h_mat.reshape(-1, order="F").view(h_mat.real.dtype)
-    a = flat[: m * m].reshape((m, m), order="F")
-    for lo in range(0, m, REAL_FORM_COLS):
-        cols = h_mat[:, lo : lo + REAL_FORM_COLS]
-        a[:, lo : lo + REAL_FORM_COLS] = cols.real - cols.imag[::-1, :]
-    return a
-
-
 def eigvals_complex(h_mat: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the dense matrix, sorted by (re, im); destroys h_mat.
+    """All eigenvalues of a dense real or complex matrix, sorted by (re, im); destroys h_mat.
 
-    A complex matrix that passes `_pt_real_form` is replaced by its real form
-    A = Re H - P Im H, compacted into the front half of h_mat's own buffer
-    (`_real_form_in_place`), and the real solver returns the same spectrum,
-    with complex eigenvalues in exact conjugate pairs.  Any other matrix goes
-    to the complex solver unchanged.  A Fortran-ordered h_mat, as `discretize`
-    builds it, is diagonalized in place on either path: the solve holds no
-    second N x N matrix.
+    A Fortran-ordered h_mat, as `discretize` and `Eigendata.from_bands` build
+    it, is diagonalized in its own buffer: the solve holds no second N x N
+    matrix.
     """
     import scipy.linalg
 
     _check_dense_cap(h_mat.shape[0])
-    if np.iscomplexobj(h_mat) and _pt_real_form(h_mat):
-        h_mat = _real_form_in_place(h_mat)
     try:
         w = scipy.linalg.eigvals(h_mat, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -265,9 +253,14 @@ class Eigendata:
         self._h_norm = float(np.linalg.norm(bands))
 
     @classmethod
-    def from_matrix(cls, h_mat: np.ndarray) -> "Eigendata":
-        bands = banded_form(h_mat)
-        return cls(eigvals_complex(h_mat), bands=bands)
+    def from_bands(cls, ab: np.ndarray) -> "Eigendata":
+        """Eigendata of the operator whose bands `banded_form` returned.
+
+        The dense eigensolve runs on the real form of H when the bands pass
+        the PT check, with the same spectrum and its complex eigenvalues in
+        exact conjugate pairs, and on H itself otherwise.
+        """
+        return cls(eigvals_complex(_dense_form(ab, real_form=_pt_symmetric(ab))), bands=ab)
 
     def vector(self, index: int) -> np.ndarray:
         if index not in self._cache:
@@ -428,7 +421,7 @@ def verify_spectrum(
     tol: float = DEFAULT_MATCH_TOL,
     decay_gate: float = DEFAULT_DECAY_GATE,
 ) -> MatchReport:
-    """Full pipeline: solve, enumerate, discretize, diagonalize, match.
+    """Full pipeline: solve, enumerate, build the bands, diagonalize, match.
 
     Closed-form levels appear in deterministic order (branches in solver
     order, n ascending).  NoRegularBranch propagates to the caller.
@@ -436,5 +429,5 @@ def verify_spectrum(
     branches = families.solve(spec)
     closed = [lv for sol in branches for lv in spectrum.enumerate_levels(sol)]
     grid = grid or default_grid(spec)
-    eigendata = Eigendata.from_matrix(discretize(spec, grid))
+    eigendata = Eigendata.from_bands(banded_form(spec, grid))
     return match_levels(closed, eigendata, tol=tol, decay_gate=decay_gate)

@@ -1,14 +1,22 @@
-"""Dense reference eigensolver for the tests: eigenvalues and eigenvectors in one call.
+"""Dense references for the tests: a full eigensolve and the matrix PT check.
 
 The package diagonalizes with `oracle.eigvals_complex` and computes vectors
-lazily by inverse iteration; the tests compare both against this full
-`scipy.linalg.eig` solve, checked against the same backward-error contract.
+lazily by inverse iteration; the tests compare both against the full
+`scipy.linalg.eig` solve of `eig_complex`, checked against the same
+backward-error contract.  The package decides PT symmetry on the five bands
+of H; `pt_real_form` makes the same decision on the whole dense matrix, the
+way the package made it before it built the bands directly.
 """
+
+import math
 
 import numpy as np
 
 from sl2spectra.errors import NoConvergence
-from sl2spectra.oracle import BACKWARD_ERROR_TOL, _check_dense_cap, _sorted_by_value
+from sl2spectra.oracle import BACKWARD_ERROR_TOL, PT_TOL, _check_dense_cap, _sorted_by_value
+
+# Rows per block of the PT check, which keeps its temporaries small.
+PT_CHECK_ROWS = 8
 
 
 def eig_complex(h_mat: np.ndarray):
@@ -34,3 +42,24 @@ def eig_complex(h_mat: np.ndarray):
         )
     order = _sorted_by_value(w)
     return w[order], vecs[:, order]
+
+
+def pt_real_form(h_mat: np.ndarray) -> bool:
+    """Whether P conj(H) P = H to PT_TOL * ||H||_F, P the reversal of the grid order.
+
+    (P conj(H) P)[i, j] = conj(H[m-1-i, m-1-j]); the matrix is read in blocks
+    of PT_CHECK_ROWS rows.  A non-finite entry fails the check.  A
+    Fortran-ordered H is checked as its transpose, whose rows are contiguous:
+    P conj(H^T) P = H^T exactly when P conj(H) P = H, entry for entry.
+    """
+    if h_mat.flags.f_contiguous:
+        h_mat = h_mat.T
+    m = h_mat.shape[0]
+    flipped = h_mat[::-1, ::-1]
+    defect = sq_norm = 0.0
+    for lo in range(0, m, PT_CHECK_ROWS):
+        block = h_mat[lo : lo + PT_CHECK_ROWS]
+        defect = max(defect, float(np.abs(block - flipped[lo : lo + PT_CHECK_ROWS].conj()).max()))
+        sq_norm += float(np.vdot(block, block).real)
+    bound = PT_TOL * math.sqrt(sq_norm)
+    return math.isfinite(bound) and defect <= bound

@@ -16,6 +16,7 @@ import numpy as np
 
 from sl2spectra import (
     Classification,
+    Eigendata,
     Grid,
     MorseABSpec,
     PoschlTellerSpec,
@@ -24,15 +25,19 @@ from sl2spectra import (
     ScarfSpec,
     analyze,
     apply_ladder,
-    discretize,
-    eigvals_complex,
     energy_level,
     ground_state,
     residual,
     solve,
     verify_spectrum,
 )
-from sl2spectra.oracle import DEFAULT_DECAY_GATE, MAX_DECAY_PROBES, boundary_decay, match_levels
+from sl2spectra.oracle import (
+    DEFAULT_DECAY_GATE,
+    MAX_DECAY_PROBES,
+    banded_form,
+    boundary_decay,
+    match_levels,
+)
 from sl2spectra.spectrum import EigenLevel, conjugate_pair_closure, enumerate_levels, scan_threshold
 
 
@@ -273,7 +278,7 @@ def test_criterion_6_property_suites(scarf96_box15):
     spec = ScarfSpec(9.75, 6.0)
     errors = {}
     for n_points in (751, 1501):  # h = 0.04 then h = 0.02 on [-15, 15]
-        w = eigvals_complex(discretize(spec, Grid(-15.0, 15.0, n_points)))
+        w = Eigendata.from_bands(banded_form(spec, Grid(-15.0, 15.0, n_points))).values
         errors[n_points] = [
             abs(w[np.argmin(np.abs(w - e))] - e) for e in (-6.25, -2.25)
         ]

@@ -126,6 +126,22 @@ class TestPoschlTeller:
             PoschlTellerSpec(1.0, 1.0, contour_gamma=math.pi / 3)
 
 
+    @pytest.mark.parametrize("c, gamma", [(0.0, math.pi / 8), (0.5, 0.3), (-3.0, -0.2)])
+    def test_potential_far_from_center(self, c, gamma):
+        # Past |Re tau| = 350 V comes from its e^{-|tau|} form.  It agrees
+        # with the sinh form up to where that form overflows (~355), and
+        # beyond it stays finite, warning-free and decays like e^{-|x - c|}.
+        spec = PoschlTellerSpec(9.75, 6.0, c, gamma)
+        tau = np.array([350.5, 351.0, 353.0, -350.5, -352.0]) - 1j * gamma
+        direct = (9.75 - 6.0 * np.cosh(tau)) / np.sinh(tau) ** 2
+        got = spec.potential(tau.real + c)
+        assert np.max(np.abs(got - direct) / np.abs(direct)) < 2e-15
+        far = spec.potential(c + np.array([-800.0, -401.0, -400.0, 400.0, 401.0, 700.0, 800.0]))
+        assert np.all(np.isfinite(far)) and np.all(far[1:-1] != 0)
+        assert abs(far[1] / far[2] - math.exp(-1)) < 1e-14
+        assert abs(far[4] / far[3] - math.exp(-1)) < 1e-14
+
+
 class TestMorse:
     def test_ab_map_hand_values(self):
         spec = morse_from_ab(MorseABSpec(1.0, 1.0, 3.0, 3.0))

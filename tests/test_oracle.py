@@ -28,10 +28,17 @@ from sl2spectra import (
     verify_spectrum,
 )
 from sl2spectra.algebra import PotentialClass, RealizationParams
-from sl2spectra.oracle import DENSE_CAP, Eigendata, _pt_real_form, banded_form, banded_matvec
+from sl2spectra.oracle import (
+    DENSE_CAP,
+    Eigendata,
+    _dense_form,
+    _pt_symmetric,
+    banded_form,
+    banded_matvec,
+)
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
 
-from dense_reference import eig_complex
+from dense_reference import eig_complex, pt_real_form
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +47,7 @@ def scarf96_box18():
     spec = ScarfSpec(9.75, 6.0)
     grid = Grid(-18.0, 18.0, 1501)
     closed = [lv for sol in solve(spec) for lv in enumerate_levels(sol)]
-    eigendata = Eigendata.from_matrix(discretize(spec, grid))
+    eigendata = Eigendata.from_bands(banded_form(spec, grid))
     return spec, grid, closed, eigendata
 
 
@@ -110,15 +117,15 @@ class TestDiscretize:
 
     def test_free_particle_box(self):
         # Dirichlet box [-1, 1]: E_k = (k pi / 2)^2
-        h = discretize(lambda x: np.zeros_like(x), Grid(-1.0, 1.0, 401))
-        w = np.sort(eigvals_complex(h).real)
+        ab = banded_form(lambda x: np.zeros_like(x), Grid(-1.0, 1.0, 401))
+        w = np.sort(Eigendata.from_bands(ab).values.real)
         for k in (1, 2, 3):
             assert abs(w[k - 1] - (k * math.pi / 2) ** 2) < 1e-4
 
     def test_hermitian_limit_real_spectrum(self):
         # real Scarf well (v2 -> 0): eigenvalues must stay on the real axis
-        h = discretize(lambda x: -9.75 / np.cosh(x) ** 2, Grid(-12.0, 12.0, 600))
-        w = eigvals_complex(h)
+        ab = banded_form(lambda x: -9.75 / np.cosh(x) ** 2, Grid(-12.0, 12.0, 600))
+        w = Eigendata.from_bands(ab).values
         assert np.max(np.abs(w.imag)) < 1e-10
 
     def test_accepts_spec_and_rejects_nonfinite(self):
@@ -128,11 +135,20 @@ class TestDiscretize:
             discretize(lambda x: np.full_like(x, np.inf), g)
 
     def test_banded_form_matches_dense(self):
-        h = discretize(ScarfSpec(2.0, 1.0), Grid(-6.0, 6.0, 80))
-        ab = banded_form(h)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-        assert np.max(np.abs(banded_matvec(ab, v) - h @ v)) < 1e-10 * np.max(np.abs(h @ v))
+        # the bands are exactly the diagonals of the dense reference, with
+        # zeros in the corners that no row reaches
+        for spec in (ScarfSpec(2.0, 1.0), MorseABSpec(1.0, 1.0, 3.0, 5.0)):
+            grid = Grid(*spec.box, 80)
+            ab = banded_form(spec, grid)
+            h = _stencil_reference(spec, grid)
+            assert ab.shape == (5, 78) and ab.dtype == np.complex128
+            for k in range(-2, 3):
+                lo, hi = max(k, 0), 78 + min(k, 0)
+                assert np.array_equal(ab[2 - k, lo:hi], np.diagonal(h, k))
+                assert not np.any(ab[2 - k, :lo]) and not np.any(ab[2 - k, hi:])
+            rng = np.random.default_rng(3)
+            v = rng.standard_normal(78) + 1j * rng.standard_normal(78)
+            assert np.max(np.abs(banded_matvec(ab, v) - h @ v)) < 1e-10 * np.max(np.abs(h @ v))
 
 
 class TestEig:
@@ -160,49 +176,38 @@ class TestEig:
         w2, _ = eig_complex(a.copy())
         assert np.max(np.abs(w1 - w2)) < 1e-10
 
-    def test_complex_solve_in_place(self):
-        # zgeev's own workspace is ~33 N complex, so N = 600 leaves room to
-        # see that the N x N matrix itself is not copied (a copy alone is 100 %)
-        h = _fd_matrix(MorseABSpec(1.0, 1.0, 3.0, 5.0), n_points=600)
-        assert not _pt_real_form(h)
-        tracemalloc.start()
-        try:
-            eigvals_complex(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * h.nbytes
-
-    def test_real_form_solved_in_place(self):
-        # the real form is compacted into H's own buffer: only a column block
-        # and dgeev's workspace are allocated (a real N x N copy alone is 50 %)
-        h = _fd_matrix(ScarfSpec(9.75, 6.0), n_points=600)
-        assert _pt_real_form(h)
-        tracemalloc.start()
-        try:
-            eigvals_complex(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * h.nbytes
+    def test_from_bands_holds_one_matrix(self):
+        # One complex N x N block on either path: the real form is written into
+        # its front half.  zgeev's own workspace is ~33 N complex and dgeev's
+        # less, so at N = 600 a second N x N copy (50 % or 100 %) would show.
+        m = 600
+        for spec in (ScarfSpec(9.75, 6.0), MorseABSpec(1.0, 1.0, 3.0, 5.0)):
+            ab = banded_form(spec, Grid(*spec.box, m + 2))
+            tracemalloc.start()
+            try:
+                Eigendata.from_bands(ab)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 16 * m * m <= peak <= 1.1 * 16 * m * m, spec
 
     def test_real_form_bitwise_equal_to_explicit_copy(self):
-        h = _fd_matrix(ScarfSpec(9.75, 6.0), n_points=600)
-        w_ref = scipy.linalg.eigvals(np.asfortranarray(h.real - h.imag[::-1, :]))
-        w_ref = w_ref[np.lexsort((w_ref.imag, w_ref.real))]
-        assert np.array_equal(eigvals_complex(h), w_ref)
-
-    def test_real_form_of_c_ordered_matrix(self):
-        h = _fd_matrix(ScarfSpec(9.75, 6.0))
-        c_ordered = np.ascontiguousarray(h)
-        assert not c_ordered.flags.f_contiguous
-        assert np.array_equal(eigvals_complex(c_ordered), eigvals_complex(h))
+        # the FD bands of Scarf II (only the diagonal is complex), and random
+        # PT-symmetric bands whose off-diagonals are complex too
+        rng = np.random.default_rng(11)
+        noise = _random_bands(rng, 300)
+        for ab in (_fd_bands(ScarfSpec(9.75, 6.0), n_points=600), noise + noise[::-1, ::-1].conj()):
+            assert _pt_check(ab)
+            h = _dense_form(ab, real_form=False)
+            w_ref = scipy.linalg.eigvals(h.real - h.imag[::-1, :])
+            w_ref = w_ref[np.lexsort((w_ref.imag, w_ref.real))]
+            assert np.array_equal(Eigendata.from_bands(ab).values, w_ref)
 
     def test_lazy_vectors_match_dense_vectors(self):
         spec = ScarfSpec(9.75, 6.0)
-        h = discretize(spec, Grid(-12.0, 12.0, 500))
-        w_full, v_full = eig_complex(h.copy())
-        data = Eigendata.from_matrix(h)
+        grid = Grid(-12.0, 12.0, 500)
+        w_full, v_full = eig_complex(discretize(spec, grid))
+        data = Eigendata.from_bands(banded_form(spec, grid))
         idx = int(np.argmin(np.abs(data.values - (-6.25))))
         lazy = data.vector(idx)
         dense = v_full[:, int(np.argmin(np.abs(w_full - (-6.25))))]
@@ -219,28 +224,35 @@ PT_CASES = {
 }
 
 
-def _fd_matrix(spec, box=None, n_points=300):
-    return discretize(spec, Grid(*(box or spec.box), n_points))
+def _fd_bands(spec, box=None, n_points=300):
+    return banded_form(spec, Grid(*(box or spec.box), n_points))
 
 
-def _pt_check(h):
-    """_pt_real_form of h, asserted to be the same for its F- and C-ordered copies."""
-    verdict = _pt_real_form(np.asfortranarray(h))
-    assert _pt_real_form(np.ascontiguousarray(h)) == verdict
+def _random_bands(rng, m):
+    """Random complex bands with zeros in the corners that no row reaches."""
+    ab = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    ab[0, :2] = ab[1, 0] = ab[3, -1] = ab[4, -2:] = 0.0
+    return ab
+
+
+def _pt_check(ab):
+    """The band PT check of ab, asserted to agree with the dense reference check."""
+    verdict = _pt_symmetric(ab)
+    assert pt_real_form(_dense_form(ab, real_form=False)) == verdict
     return verdict
 
 
 class TestRealForm:
     @pytest.mark.parametrize("case", PT_CASES)
     def test_accepts_pt_cases(self, case):
-        assert _pt_check(_fd_matrix(*PT_CASES[case]))
+        assert _pt_check(_fd_bands(*PT_CASES[case]))
 
     @pytest.mark.parametrize("case", PT_CASES)
     def test_spectrum_matches_complex_path(self, case):
-        h = _fd_matrix(*PT_CASES[case])
-        scale = np.linalg.norm(h)
-        w_real = eigvals_complex(h.copy())
-        w_ref, _ = eig_complex(h)
+        ab = _fd_bands(*PT_CASES[case])
+        scale = np.linalg.norm(ab)
+        w_real = Eigendata.from_bands(ab).values
+        w_ref, _ = eig_complex(_dense_form(ab, real_form=False))
         # The two solvers split nearly equal real parts differently, so their
         # (re, im) orders can differ; compare the spectra one-to-one instead.
         dist = np.abs(w_real[:, None] - w_ref[None, :])
@@ -249,7 +261,7 @@ class TestRealForm:
 
     @pytest.mark.parametrize("case", PT_CASES)
     def test_spectrum_exactly_closed_under_conjugation(self, case):
-        w = eigvals_complex(_fd_matrix(*PT_CASES[case]))
+        w = Eigendata.from_bands(_fd_bands(*PT_CASES[case])).values
         assert np.any(w.imag != 0.0)
         assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
 
@@ -259,22 +271,22 @@ class TestRealForm:
         ids=["morse-ab", "gpt-c0.5"],
     )
     def test_rejects_non_pt_specs(self, spec):
-        assert not _pt_check(_fd_matrix(spec))
+        assert not _pt_check(_fd_bands(spec))
 
     def test_rejects_random_matrix(self):
-        rng = np.random.default_rng(7)
-        assert not _pt_check(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
+        assert not _pt_check(_random_bands(np.random.default_rng(7), 50))
 
     def test_rejects_perturbed_pt_matrix(self):
-        h = _fd_matrix(ScarfSpec(9.75, 6.0))
-        h[100, 101] += 1e-8 * np.linalg.norm(h)
-        assert not _pt_check(h)
+        ab = _fd_bands(ScarfSpec(9.75, 6.0))
+        ab[1, 101] += 1e-8 * np.linalg.norm(ab)  # H[100, 101]
+        assert not _pt_check(ab)
 
     def test_rejects_non_finite_matrix(self):
-        h = np.eye(40, dtype=complex)
-        h[3, 3] = h[36, 36] = np.inf  # P conj(H) P = H, but not to a finite norm
+        ab = np.zeros((5, 40), dtype=complex)
+        ab[2] = 1.0
+        ab[2, 3] = ab[2, 36] = np.inf  # P conj(H) P = H, but not to a finite norm
         with np.errstate(invalid="ignore"):
-            assert not _pt_check(h)
+            assert not _pt_check(ab)
 
 
 class _GivenVectors(Eigendata):

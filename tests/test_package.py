@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import sl2spectra
@@ -15,3 +16,23 @@ def test_all_lists_exactly_the_imported_names():
         for alias in node.names
     ]
     assert sorted(imported) == sorted(sl2spectra.__all__)
+
+
+def test_benchmark_traced_names_exist():
+    # `perfbench/run.py --trace 1` wraps each `tracer.wrap(<module or class>,
+    # "<attr>", ...)` target of the worker and dies on a name the package lost
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    targets = [
+        (ast.unparse(node.args[0]), node.args[1].value)
+        for node in ast.walk(ast.parse(worker.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "tracer.wrap"
+        and ast.unparse(node.args[0]) != "traced_json"  # the worker's own copy of json
+    ]
+    assert ("oracle", "eigvals_complex") in targets
+    for owner, attr in targets:
+        module, *path = owner.split(".")
+        obj = importlib.import_module(f"sl2spectra.{module}")
+        for name in path:
+            obj = getattr(obj, name)
+        assert hasattr(obj, attr), f"{owner}.{attr}"
