@@ -176,20 +176,30 @@ class TestEig:
         w2, _ = eig_complex(a.copy())
         assert np.max(np.abs(w1 - w2)) < 1e-10
 
-    def test_from_bands_holds_one_matrix(self):
-        # One complex N x N block on either path: the real form is written into
-        # its front half.  zgeev's own workspace is ~33 N complex and dgeev's
-        # less, so at N = 600 a second N x N copy (50 % or 100 %) would show.
-        m = 600
-        for spec in (ScarfSpec(9.75, 6.0), MorseABSpec(1.0, 1.0, 3.0, 5.0)):
-            ab = banded_form(spec, Grid(*spec.box, m + 2))
-            tracemalloc.start()
-            try:
-                Eigendata.from_bands(ab)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert 16 * m * m <= peak <= 1.1 * 16 * m * m, spec
+    @staticmethod
+    def _from_bands_peak(spec, m):
+        ab = banded_form(spec, Grid(*spec.box, m + 2))
+        tracemalloc.start()
+        try:
+            Eigendata.from_bands(ab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_complex_solve_in_place(self):
+        # one complex N x N block is solved in place: zgeev's own workspace is
+        # ~33 N complex, so at N = 600 a second N x N copy (100 %) would show
+        spec, m = MorseABSpec(1.0, 1.0, 3.0, 5.0), 600
+        assert not _pt_check(_fd_bands(spec, n_points=m + 2))
+        assert 16 * m * m <= self._from_bands_peak(spec, m) <= 1.1 * 16 * m * m
+
+    def test_real_form_solved_in_place(self):
+        # the real form is written into the front half of the one complex
+        # N x N block: a separate real N x N copy (50 %) would show
+        spec, m = ScarfSpec(9.75, 6.0), 600
+        assert _pt_check(_fd_bands(spec, n_points=m + 2))
+        assert 16 * m * m <= self._from_bands_peak(spec, m) <= 1.1 * 16 * m * m
 
     def test_real_form_bitwise_equal_to_explicit_copy(self):
         # the FD bands of Scarf II (only the diagonal is complex), and random
