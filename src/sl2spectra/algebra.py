@@ -149,10 +149,12 @@ class GridFunction:
         dx = np.diff(self.xs)
         if self.xs.size < min_points:
             raise GridTooCoarse(f"need at least {min_points} points, got {self.xs.size}")
-        if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
+        # linspace spacings differ from the nominal step in the last few bits
+        rel_slack = 1e-9
+        if np.max(np.abs(dx - dx[0])) > rel_slack * abs(dx[0]):
             raise GridTooCoarse("grid spacing is not uniform")
-        if dx[0] > MAX_GRID_SPACING:
-            raise GridTooCoarse(f"spacing {dx[0]:.4g} exceeds {MAX_GRID_SPACING}")
+        if dx[0] > MAX_GRID_SPACING * (1 + rel_slack):
+            raise GridTooCoarse(f"spacing {float(dx[0])!r} exceeds {MAX_GRID_SPACING}")
 
 
 def _detect_branch_cut(w: np.ndarray, what: str):

@@ -19,9 +19,10 @@ profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
 spacing h has an h^2 or 1/h^4 that overflows or is below the smallest normal
 double (a box as wide as +-1e80 at 100 points) or on which the potential is
 not finite (a Poschl-Teller box of +-800), a profile of more than
-MAX_PROFILE_POINTS points, a non-finite or non-positive --tol, --decay-gate
-or --residual-tol, or a --from-file that is unreadable, lacks a column, holds
-a non-finite value or is zero everywhere, or any other SpectraError);
+MAX_PROFILE_POINTS points, a non-finite or non-positive --tol, or a
+--from-file that is unreadable, lacks a column, holds a non-finite value, is
+zero everywhere, has fewer than 16 rows or an x column that is not strictly
+increasing and uniform, or any other SpectraError);
 3 no regular branch (analyze still emits an empty-spectrum document, the
 other commands print nothing); 4 verification mismatch; 5 eigensolver
 non-convergence.
@@ -34,7 +35,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -44,11 +44,12 @@ from . import families, oracle, spectrum
 from .algebra import GridFunction, tower_state
 from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
 
-ENV_GRID_N = "SPECTRA_DEFAULT_GRID_N"
 # Largest `wavefunction` profile.  Each point becomes a ~60-byte CSV row whose
 # strings are all held until the document is written: 1e5 points take ~1 s and
-# ~80 MB of RSS, 1e6 points ~7 s and ~520 MB.  A residual check needs a
-# spacing of 0.1 (~400 points on the default boxes); the round trip uses 4001.
+# ~80 MB of RSS, 1e6 points ~7 s and ~520 MB.  A residual check accepts a
+# spacing up to 0.1 (401 points on the default boxes), but the default-box
+# levels pass oracle.DEFAULT_RESIDUAL_TOL only near 0.01 (4001 points, which the
+# round trip uses).
 MAX_PROFILE_POINTS = 100_000
 
 EXIT_OK = 0
@@ -71,8 +72,6 @@ class RunConfig:
     spec: object
     grid: oracle.Grid | None = None
     tol: float = oracle.DEFAULT_MATCH_TOL
-    decay_gate: float = oracle.DEFAULT_DECAY_GATE
-    residual_tol: float = oracle.DEFAULT_RESIDUAL_TOL
     epsilon: int = 1
     n: int = 0
     sweep: tuple[float, float, float] | None = None
@@ -95,11 +94,7 @@ def _need(args, *names):
 
 
 def _grid_from_args(args, spec) -> oracle.Grid:
-    n_points = args.n_points
-    if n_points is None:
-        env = os.environ.get(ENV_GRID_N)
-        n_points = int(env) if env else None
-    base = oracle.default_grid(spec, n_points)
+    base = oracle.default_grid(spec, args.n_points)
     x_min = args.x_min if args.x_min is not None else base.x_min
     x_max = args.x_max if args.x_max is not None else base.x_max
     return oracle.Grid(x_min, x_max, base.n_points)
@@ -237,9 +232,7 @@ def cmd_scan(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     if config.from_file:
         return _verify_from_file(config)
-    report = oracle.verify_spectrum(
-        config.spec, grid=config.grid, tol=config.tol, decay_gate=config.decay_gate
-    )
+    report = oracle.verify_spectrum(config.spec, grid=config.grid, tol=config.tol)
     table = [
         [
             _fmt(r.e_closed.real),
@@ -289,8 +282,8 @@ def _read_profile(path: str) -> GridFunction:
 def _verify_from_file(config: RunConfig) -> int:
     _, level = _level_for(config.spec, config.epsilon, config.n)
     psi = _read_profile(config.from_file)
-    res = oracle.residual(psi, config.spec, level.energy)
-    ok = res < config.residual_tol
+    res = oracle.residual(psi, config.spec.potential, level.energy)
+    ok = res < oracle.DEFAULT_RESIDUAL_TOL
     _emit(
         _csv_text(
             ["E_closed_re", "E_closed_im", "residual", "matched"],
@@ -347,12 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_family_args(p_verify)
     add_grid_args(p_verify)
     p_verify.add_argument("--tol", type=float, default=oracle.DEFAULT_MATCH_TOL)
-    p_verify.add_argument("--decay-gate", type=float, default=oracle.DEFAULT_DECAY_GATE,
-                          dest="decay_gate")
     p_verify.add_argument("--from-file", type=str, default=None, dest="from_file",
                           help="re-ingest an exported wavefunction and check its residual")
-    p_verify.add_argument("--residual-tol", type=float, default=oracle.DEFAULT_RESIDUAL_TOL,
-                          dest="residual_tol")
     p_verify.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
     p_verify.add_argument("--n", type=int, default=0)
 
@@ -363,12 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument("--n", type=int, default=0)
 
     return parser
-
-
-def _positive(flag: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidSpec(f"{flag} must be finite and positive, got {value}")
-    return value
 
 
 def config_from_args(args) -> RunConfig:
@@ -383,10 +366,10 @@ def config_from_args(args) -> RunConfig:
         config.epsilon = args.epsilon
         config.n = args.n
     if args.command == "verify":
-        config.tol = _positive("--tol", args.tol)
-        config.decay_gate = _positive("--decay-gate", args.decay_gate)
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise InvalidSpec(f"--tol must be finite and positive, got {args.tol}")
+        config.tol = args.tol
         config.from_file = args.from_file
-        config.residual_tol = _positive("--residual-tol", args.residual_tol)
     if args.command == "scan":
         config.sweep = (args.start, args.stop, args.step)
     return config

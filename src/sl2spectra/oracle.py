@@ -99,14 +99,6 @@ def default_grid(spec, n_points: int | None = None) -> Grid:
     return Grid(*spec.box, DEFAULT_GRID_N if n_points is None else n_points)
 
 
-def _as_potential(potential):
-    if callable(potential):
-        return potential
-    if hasattr(potential, "potential"):
-        return potential.potential
-    raise TypeError(f"cannot evaluate {type(potential).__name__} as a potential")
-
-
 def _check_dense_cap(m: int) -> None:
     if m > DENSE_CAP:
         raise InvalidSpec(f"dense solver capped at N = {DENSE_CAP}, got {m}")
@@ -115,7 +107,8 @@ def _check_dense_cap(m: int) -> None:
 def banded_form(potential, grid: Grid) -> np.ndarray:
     """H = -D2 + diag(V) on the interior points as its five bands, Dirichlet at the walls.
 
-    D2 is the fourth-order centered second-derivative stencil
+    V is the callable potential evaluated on the interior points.  D2 is the
+    fourth-order centered second-derivative stencil
     (-1, 16, -30, 16, -1)/(12 h^2); the two rows adjacent to each wall fall
     back to the second-order stencil, whose support fits the boundary.  The
     bands are complex, in scipy.linalg.solve_banded layout (u = l = 2):
@@ -136,9 +129,8 @@ def banded_form(potential, grid: Grid) -> np.ndarray:
         raise InvalidSpec(
             f"grid spacing {h:.6g} puts h^2 or 1/h^4 outside the normal double range"
         )
-    v = _as_potential(potential)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects inf and nan
-        vals = np.asarray(v(grid.interior), dtype=complex)
+        vals = np.asarray(potential(grid.interior), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise InvalidSpec("potential is not finite on the grid interior")
     # row i of D2 holds weights[i] at columns i-2 .. i+2
@@ -314,15 +306,10 @@ class LevelMatch:
 @dataclass
 class MatchReport:
     rows: list[LevelMatch]
-    tol: float
-    decay_gate: float
 
     @property
     def all_matched(self) -> bool:
         return all(r.matched for r in self.rows)
-
-    def unmatched(self) -> list[LevelMatch]:
-        return [r for r in self.rows if not r.matched]
 
 
 MAX_DECAY_PROBES = 24
@@ -332,16 +319,15 @@ def match_levels(
     closed: list[spectrum.EigenLevel],
     eigendata: Eigendata,
     tol: float = DEFAULT_MATCH_TOL,
-    decay_gate: float = DEFAULT_DECAY_GATE,
 ) -> MatchReport:
     """Match each closed-form level to the nearest decaying numeric eigenvalue.
 
     Candidates are probed in order of distance in the complex plane; the
-    first whose eigenvector passes the boundary-decay gate is the match
-    candidate, and the level counts as matched when that candidate lies
-    within tol.  A wrong level therefore stays unmatched even if a box
-    continuum eigenvalue happens to sit nearby, because continuum vectors
-    fail the gate.  Candidates at equal distance (such as the two members of
+    first whose eigenvector passes the boundary-decay gate (DEFAULT_DECAY_GATE)
+    is the match candidate, and the level counts as matched when that
+    candidate lies within tol.  A wrong level therefore stays unmatched even
+    if a box continuum eigenvalue happens to sit nearby, because continuum
+    vectors fail the gate.  Candidates at equal distance (such as the two members of
     an exact conjugate pair seen from a real level) are probed in the
     (re, im) order of eigendata.values, so the member with negative
     imaginary part comes first.
@@ -352,7 +338,7 @@ def match_levels(
         chosen = None
         for idx in order[:MAX_DECAY_PROBES]:
             decay = boundary_decay(eigendata.vector(int(idx)))
-            if decay <= decay_gate:
+            if decay <= DEFAULT_DECAY_GATE:
                 chosen = (int(idx), decay)
                 break
         if chosen is None:
@@ -375,21 +361,7 @@ def match_levels(
                 matched=matched,
             )
         )
-    return MatchReport(rows=rows, tol=tol, decay_gate=decay_gate)
-
-
-def deeper_decaying_levels(
-    eigendata: Eigendata,
-    floor_re: float,
-    tol: float = DEFAULT_MATCH_TOL,
-    decay_gate: float = DEFAULT_DECAY_GATE,
-) -> list[complex]:
-    """Decaying numeric levels deeper than floor_re - tol (missed-state probe)."""
-    out = []
-    for idx in np.nonzero(eigendata.values.real < floor_re - tol)[0]:
-        if boundary_decay(eigendata.vector(int(idx))) <= decay_gate:
-            out.append(complex(eigendata.values[idx]))
-    return out
+    return MatchReport(rows=rows)
 
 
 def residual(psi: GridFunction, potential, energy: complex) -> float:
@@ -397,19 +369,25 @@ def residual(psi: GridFunction, potential, energy: complex) -> float:
 
     The second derivative is the fourth-order centered stencil; the outer
     RESIDUAL_EDGE_SKIP points at each end are excluded from the max, so
-    one-sided stencils never enter.
+    one-sided stencils never enter.  psi is first scaled by the power of two
+    that brings its largest component into [0.5, 1): the scaling is exact, so
+    it leaves the ratio's bits alone, and a finite profile as large as ~1e308
+    cannot overflow the stencil.
     """
     psi.require_uniform(min_points=16)
-    peak = float(np.abs(psi.values).max())
-    if peak == 0.0:
+    top = float(max(np.abs(psi.values.real).max(), np.abs(psi.values.imag).max()))
+    if top == 0.0:
         raise EmptyFunction("cannot form a relative residual of the zero function")
-    v = _as_potential(potential)
+    shift = -math.frexp(top)[1]
+    vals = np.empty_like(psi.values)
+    vals.real = np.ldexp(psi.values.real, shift)
+    vals.imag = np.ldexp(psi.values.imag, shift)
+    peak = float(np.abs(vals).max())
     h = psi.spacing
-    vals = psi.values
     d2 = (
         -vals[:-4] + 16 * vals[1:-3] - 30 * vals[2:-2] + 16 * vals[3:-1] - vals[4:]
     ) / (12 * h * h)
-    full = (np.asarray(v(psi.xs[2:-2]), dtype=complex) - energy) * vals[2:-2] - d2
+    full = (np.asarray(potential(psi.xs[2:-2]), dtype=complex) - energy) * vals[2:-2] - d2
     lo = RESIDUAL_EDGE_SKIP - 2
     hi = full.size - lo
     return float(np.abs(full[lo:hi]).max() / peak)
@@ -419,7 +397,6 @@ def verify_spectrum(
     spec,
     grid: Grid | None = None,
     tol: float = DEFAULT_MATCH_TOL,
-    decay_gate: float = DEFAULT_DECAY_GATE,
 ) -> MatchReport:
     """Full pipeline: solve, enumerate, build the bands, diagonalize, match.
 
@@ -429,5 +406,5 @@ def verify_spectrum(
     branches = families.solve(spec)
     closed = [lv for sol in branches for lv in spectrum.enumerate_levels(sol)]
     grid = grid or default_grid(spec)
-    eigendata = Eigendata.from_bands(banded_form(spec, grid))
-    return match_levels(closed, eigendata, tol=tol, decay_gate=decay_gate)
+    eigendata = Eigendata.from_bands(banded_form(spec.potential, grid))
+    return match_levels(closed, eigendata, tol=tol)

@@ -25,7 +25,7 @@ def scarf96_box15():
     t0 = time.perf_counter()
     branches = families.solve(spec)
     closed = [lv for sol in branches for lv in spectrum.enumerate_levels(sol)]
-    eigendata = oracle.Eigendata.from_bands(oracle.banded_form(spec, grid))
+    eigendata = oracle.Eigendata.from_bands(oracle.banded_form(spec.potential, grid))
     report = oracle.match_levels(closed, eigendata)
     elapsed = time.perf_counter() - t0
     return {

@@ -227,7 +227,7 @@ def test_criterion_5_morse():
     assert match.all_matched
     for row in match.rows:
         assert row.abs_error <= 1e-3
-        assert row.boundary_decay < match.decay_gate
+        assert row.boundary_decay < DEFAULT_DECAY_GATE
 
 
 @criterion(6, "property suites: ODE identities, round-trip, ladder, closure, order, control")
@@ -278,7 +278,7 @@ def test_criterion_6_property_suites(scarf96_box15):
     spec = ScarfSpec(9.75, 6.0)
     errors = {}
     for n_points in (751, 1501):  # h = 0.04 then h = 0.02 on [-15, 15]
-        w = Eigendata.from_bands(banded_form(spec, Grid(-15.0, 15.0, n_points))).values
+        w = Eigendata.from_bands(banded_form(spec.potential, Grid(-15.0, 15.0, n_points))).values
         errors[n_points] = [
             abs(w[np.argmin(np.abs(w - e))] - e) for e in (-6.25, -2.25)
         ]

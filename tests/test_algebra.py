@@ -254,7 +254,7 @@ class TestLadder:
         r = r_class(PotentialClass.I, b=1j)
         grid = Grid(-12.0, 12.0, 1401)
         spec = ScarfSpec(25.75, 10.0)
-        w, vecs = eig_complex(discretize(spec, grid))
+        w, vecs = eig_complex(discretize(spec.potential, grid))
         idx = int(np.argmin(np.abs(w - (-6.25))))
         assert abs(w[idx] - (-6.25)) < 1e-3
         phi = tower_state(r, 5.0, 2, grid.interior).values

@@ -326,16 +326,24 @@ class TestWavefunction:
         assert rows[0][3] == "true"
         assert float(rows[0][2]) < 1e-5
 
-    def test_env_grid_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECTRA_DEFAULT_GRID_N", "501")
-        code, out = run_cli(
+    def test_spacing_of_one_tenth_accepted(self, capsys, tmp_path):
+        # linspace puts this spacing at 0.1 + 1.4e-15, which must not count as
+        # coarser than 0.1
+        psi_path = tmp_path / "psi.csv"
+        code, _ = run_cli(
             capsys,
-            ["wavefunction", "--family", "morse-ab", "--A", "1", "--B", "1",
-             "--gamma-p", "3", "--delta-p", "3", "--epsilon", "1", "--n", "0"],
+            ["wavefunction", "--family", "scarf2", "--v1", "9.75", "--v2", "6",
+             "--n", "1", "--n-points", "401", "--output", str(psi_path)],
         )
         assert code == 0
+        code, out = run_cli(
+            capsys,
+            ["verify", "--family", "scarf2", "--v1", "9.75", "--v2", "6",
+             "--n", "1", "--from-file", str(psi_path)],
+        )
+        assert code == 4  # a real residual at h = 0.1, not a rejected grid
         _, rows = parse_csv(out)
-        assert len(rows) == 501
+        assert float(rows[0][2]) > 1e-5
 
     def test_output_file_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -355,6 +363,13 @@ MORSE = ["--family", "morse", "--v1r", "1", "--v1i", "1", "--v2r", "1", "--v2i",
 PROFILE_HEADER = "x,re_psi,im_psi\r\n"
 PROFILES = {
     "no_im.csv": "x,re_psi\r\n0,1\r\n",
+    "no_rows.csv": PROFILE_HEADER,
+    "rows8.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},1,0\r\n" for k in range(8)),
+    "x_decreasing.csv": PROFILE_HEADER + "".join(f"{-0.05 * k:.2f},1,0\r\n" for k in range(32)),
+    "x_repeated.csv": PROFILE_HEADER + "".join(f"{0.05 * min(k, 30):.2f},1,0\r\n"
+                                               for k in range(32)),
+    "x_nonuniform.csv": PROFILE_HEADER + "".join(f"{0.001 * k * k:.3f},1,0\r\n"
+                                                 for k in range(32)),
     "bad_number.csv": PROFILE_HEADER + "0,abc,0\r\n",
     "zero.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},0,0\r\n" for k in range(32)),
     "nan.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},{'nan' if k == 7 else 1},0\r\n"
@@ -369,6 +384,9 @@ BAD_INPUTS = {
                       "--v2r", "1", "--v2i", "1"],
     "v1-1e300": ["analyze", "--family", "scarf2", "--v1", "1e300", "--v2", "6"],
     "grid-too-coarse": ["wavefunction", *SCARF, "--n", "1", "--n-points", "100"],
+    # spacing 0.1 * (1 + 1e-6): past the 1e-9 slack for linspace rounding
+    "grid-spacing-just-over-0.1": ["wavefunction", *SCARF, "--n", "1", "--x-min=-20",
+                                   "--x-max", "20.00004", "--n-points", "401"],
     "negative-n": ["wavefunction", *SCARF, "--n", "-1", "--n-points", "256"],
     "no-level-from-file": ["verify", *SCARF, "--epsilon", "-1", "--n", "1",
                            "--from-file", "{tmp}/zero.csv"],
@@ -378,6 +396,11 @@ BAD_INPUTS = {
     "zero-profile": ["verify", *SCARF, "--from-file", "{tmp}/zero.csv"],
     "verify-file-nan": ["verify", *SCARF, "--from-file", "{tmp}/nan.csv"],
     "verify-file-inf": ["verify", *SCARF, "--from-file", "{tmp}/inf.csv"],
+    "verify-file-no-rows": ["verify", *SCARF, "--from-file", "{tmp}/no_rows.csv"],
+    "verify-file-8-rows": ["verify", *SCARF, "--from-file", "{tmp}/rows8.csv"],
+    "verify-file-x-decreasing": ["verify", *SCARF, "--from-file", "{tmp}/x_decreasing.csv"],
+    "verify-file-x-repeated": ["verify", *SCARF, "--from-file", "{tmp}/x_repeated.csv"],
+    "verify-file-x-nonuniform": ["verify", *SCARF, "--from-file", "{tmp}/x_nonuniform.csv"],
     "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
     "scan-stop-inf": ["scan", *SCARF, "--start", "0.1", "--stop", "inf", "--step", "0.5"],
     "scan-huge-range": ["scan", *SCARF, "--start", "0", "--stop", "1e9", "--step", "1e-9"],
@@ -412,8 +435,6 @@ BAD_INPUTS = {
     "verify-lapack-rescale-1e78": ["verify", *SCARF, "--x-min=-1e78", "--x-max=1e78",
                                    "--n-points", "100"],
     "verify-tol-nan": ["verify", *SCARF, "--tol", "nan", "--n-points", "100"],
-    "verify-decay-gate-negative": ["verify", *SCARF, "--decay-gate", "-1", "--n-points", "100"],
-    "verify-residual-tol-nan": ["verify", *SCARF, "--residual-tol", "nan", "--n-points", "100"],
     "wavefunction-over-profile-cap": ["wavefunction", *SCARF,
                                       "--n-points", str(MAX_PROFILE_POINTS + 1),
                                       "--output", "{tmp}/f.csv"],
@@ -446,11 +467,6 @@ def test_bad_input_exit_2(capsys, tmp_path, argv):
     for name, text in PROFILES.items():
         (tmp_path / name).write_text(text, newline="")
     assert_rejected(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
-
-
-def test_env_grid_zero_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRA_DEFAULT_GRID_N", "0")
-    assert_rejected(capsys, ["verify", *SCARF])
 
 
 # Runs in a fresh interpreter: the closed-form commands, then one dense verify.
