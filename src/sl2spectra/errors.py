@@ -26,7 +26,7 @@ class GridTooCoarse(SpectraError):
 
 
 class NoConvergence(SpectraError):
-    """The dense eigensolver failed to converge or violated its accuracy contract."""
+    """An eigensolver failed to converge or violated its accuracy contract."""
 
 
 class EmptyFunction(SpectraError):

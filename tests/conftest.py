@@ -1,4 +1,4 @@
-"""Shared fixtures; the expensive dense-oracle runs are computed once per session."""
+"""Shared fixtures; the expensive oracle runs are computed once per session."""
 
 import time
 

@@ -1,11 +1,15 @@
-"""Dense references for the tests: a full eigensolve and the matrix PT check.
+"""Dense references for the tests: full eigensolves and the matrix PT check.
 
-The package diagonalizes with `oracle.eigvals_complex` and computes vectors
-lazily by inverse iteration; the tests compare both against the full
+The package computes the eigenvalues inside a contour from banded solves and
+vectors lazily by inverse iteration; the tests compare both against the full
 `scipy.linalg.eig` solve of `eig_complex`, checked against the same
-backward-error contract.  The package decides PT symmetry on the five bands
-of H; `pt_real_form` makes the same decision on the whole dense matrix, the
-way the package made it before it built the bands directly.
+backward-error contract, and against `dense_eigvals`, the dense eigensolve
+`Eigendata.from_bands` ran before the contour solve replaced it: the real
+form of a PT-symmetric H, written into the front half of one complex N x N
+allocation (`real_form_matrix`), or H itself.  The package decides PT
+symmetry on the five bands of H; `pt_real_form` makes the same decision on
+the whole dense matrix, the way the package made it before it built the
+bands directly.
 """
 
 import math
@@ -13,7 +17,16 @@ import math
 import numpy as np
 
 from sl2spectra.errors import NoConvergence
-from sl2spectra.oracle import BACKWARD_ERROR_TOL, PT_TOL, _check_dense_cap, _sorted_by_value
+from sl2spectra.oracle import (
+    BACKWARD_ERROR_TOL,
+    PT_TOL,
+    _band_spans,
+    _check_dense_cap,
+    _dense_form,
+    _pt_symmetric,
+    _sorted_by_value,
+    eigvals_complex,
+)
 
 # Rows per block of the PT check, which keeps its temporaries small.
 PT_CHECK_ROWS = 8
@@ -63,3 +76,27 @@ def pt_real_form(h_mat: np.ndarray) -> bool:
         sq_norm += float(np.vdot(block, block).real)
     bound = PT_TOL * math.sqrt(sq_norm)
     return math.isfinite(bound) and defect <= bound
+
+
+def real_form_matrix(ab: np.ndarray) -> np.ndarray:
+    """The real form A = Re H - P Im H of a PT-symmetric H with bands ab.
+
+    A real, Fortran-ordered view of the first N^2 doubles of one complex
+    N x N allocation: Re H on the five bands, less each band's imaginary part
+    reflected by P onto its anti-band ((P Im H)[m-1-i, j] = Im H[i, j]).  The
+    rest of the allocation is never written.
+    """
+    m = ab.shape[1]
+    flat = np.zeros(m * m, dtype=complex).view(np.float64)[: m * m]
+    for k, lo, hi in _band_spans(m):
+        flat[lo * (m + 1) - k :: m + 1][: hi - lo] = ab[2 - k, lo:hi].real
+    for k, lo, hi in _band_spans(m):
+        flat[m - 1 + k + lo * (m - 1) :: m - 1][: hi - lo] -= ab[2 - k, lo:hi].imag
+    return flat.reshape((m, m), order="F")
+
+
+def dense_eigvals(ab: np.ndarray) -> np.ndarray:
+    """All eigenvalues of H, sorted by (re, im): the dense eigensolve of the
+    real form when the bands pass the PT check, with its complex eigenvalues
+    in exact conjugate pairs, and of H itself otherwise."""
+    return eigvals_complex(real_form_matrix(ab) if _pt_symmetric(ab) else _dense_form(ab))

@@ -1,4 +1,4 @@
-"""Finite-difference oracle: discretization, dense eigensolve, level matching."""
+"""Finite-difference oracle: discretization, contour and dense eigensolves, level matching."""
 
 import math
 import tracemalloc
@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from sl2spectra import (
@@ -15,6 +17,7 @@ from sl2spectra import (
     GridTooCoarse,
     InvalidSpec,
     MorseABSpec,
+    MorseSpec,
     PoschlTellerSpec,
     ScarfSpec,
     boundary_decay,
@@ -38,10 +41,12 @@ from sl2spectra.oracle import (
     _pt_symmetric,
     banded_form,
     banded_matvec,
+    contour,
+    contour_eigvals,
 )
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
 
-from dense_reference import eig_complex, pt_real_form
+from dense_reference import dense_eigvals, eig_complex, pt_real_form
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +125,10 @@ class TestDiscretize:
 
     def test_free_particle_box(self):
         # Dirichlet box [-1, 1]: E_k = (k pi / 2)^2
+        # V = 0 puts no eigenvalue inside the contour, so this checks the
+        # dense reference
         ab = banded_form(lambda x: np.zeros_like(x), Grid(-1.0, 1.0, 401))
-        w = np.sort(Eigendata.from_bands(ab).values.real)
+        w = np.sort(dense_eigvals(ab).real)
         for k in (1, 2, 3):
             assert abs(w[k - 1] - (k * math.pi / 2) ** 2) < 1e-4
 
@@ -191,18 +198,20 @@ class TestEig:
         return peak
 
     def test_complex_solve_in_place(self):
-        # one complex N x N block is solved in place: zgeev's own workspace is
-        # ~33 N complex, so at N = 600 a second N x N copy (100 %) would show
+        # the complex contour solve holds A0 and its probes, O(N p) with p = 192
+        # here (~130 eigenvalues inside the contour): it measures 3.3 MB, 57 %
+        # of one complex N x N block, so no such block is traced
         spec, m = MorseABSpec(1.0, 1.0, 3.0, 5.0), 600
         assert not _pt_check(_fd_bands(spec, n_points=m + 2))
-        assert 16 * m * m <= self._from_bands_peak(spec, m) <= 1.1 * 16 * m * m
+        assert self._from_bands_peak(spec, m) <= 0.75 * 16 * m * m
 
     def test_real_form_solved_in_place(self):
-        # the real form is written into the front half of the one complex
-        # N x N block: a separate real N x N copy (50 %) would show
+        # the real-form contour solve holds a real A0 with p = 48: it measures
+        # 0.84 MB, 15 % of one complex N x N block, so not even a real N x N
+        # copy (50 %) is traced
         spec, m = ScarfSpec(9.75, 6.0), 600
         assert _pt_check(_fd_bands(spec, n_points=m + 2))
-        assert 16 * m * m <= self._from_bands_peak(spec, m) <= 1.1 * 16 * m * m
+        assert self._from_bands_peak(spec, m) <= 0.25 * 16 * m * m
 
     def test_real_form_bitwise_equal_to_explicit_copy(self):
         # the FD bands of Scarf II (only the diagonal is complex), and random
@@ -211,10 +220,10 @@ class TestEig:
         noise = _random_bands(rng, 300)
         for ab in (_fd_bands(ScarfSpec(9.75, 6.0), n_points=600), noise + noise[::-1, ::-1].conj()):
             assert _pt_check(ab)
-            h = _dense_form(ab, real_form=False)
+            h = _dense_form(ab)
             w_ref = scipy.linalg.eigvals(h.real - h.imag[::-1, :])
             w_ref = w_ref[np.lexsort((w_ref.imag, w_ref.real))]
-            assert np.array_equal(Eigendata.from_bands(ab).values, w_ref)
+            assert np.array_equal(dense_eigvals(ab), w_ref)
 
     def test_lazy_vectors_match_dense_vectors(self):
         spec = ScarfSpec(9.75, 6.0)
@@ -251,7 +260,7 @@ def _random_bands(rng, m):
 def _pt_check(ab):
     """The band PT check of ab, asserted to agree with the dense reference check."""
     verdict = _pt_symmetric(ab)
-    assert pt_real_form(_dense_form(ab, real_form=False)) == verdict
+    assert pt_real_form(_dense_form(ab)) == verdict
     return verdict
 
 
@@ -264,8 +273,8 @@ class TestRealForm:
     def test_spectrum_matches_complex_path(self, case):
         ab = _fd_bands(*PT_CASES[case])
         scale = np.linalg.norm(ab)
-        w_real = Eigendata.from_bands(ab).values
-        w_ref, _ = eig_complex(_dense_form(ab, real_form=False))
+        w_real = dense_eigvals(ab)
+        w_ref, _ = eig_complex(_dense_form(ab))
         # The two solvers split nearly equal real parts differently, so their
         # (re, im) orders can differ; compare the spectra one-to-one instead.
         dist = np.abs(w_real[:, None] - w_ref[None, :])
@@ -274,9 +283,37 @@ class TestRealForm:
 
     @pytest.mark.parametrize("case", PT_CASES)
     def test_spectrum_exactly_closed_under_conjugation(self, case):
-        w = Eigendata.from_bands(_fd_bands(*PT_CASES[case])).values
+        w = dense_eigvals(_fd_bands(*PT_CASES[case]))
         assert np.any(w.imag != 0.0)
         assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+    @pytest.mark.parametrize("case", PT_CASES)
+    def test_contour_spectrum_exactly_closed_under_conjugation(self, case):
+        w = Eigendata.from_bands(_fd_bands(*PT_CASES[case])).values
+        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+        if case == "scarf-broken":  # its broken-phase pair lies inside the contour
+            assert np.any(w.imag != 0.0)
+
+    @pytest.mark.parametrize(
+        "ab",
+        [
+            *(_fd_bands(*PT_CASES[case]) for case in PT_CASES),
+            _fd_bands(MorseABSpec(1.0, 1.0, 3.0, 5.0)),
+            _fd_bands(PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8)),
+        ],
+        ids=[*PT_CASES, "morse-ab", "gpt-c0.5"],
+    )
+    def test_contour_spectrum_matches_complex_path(self, ab):
+        # inside the contour, the contour solve returns the complex dense
+        # spectrum one-to-one, to the same 1e-10 ||H||_F as the real form
+        gamma = contour(ab)
+        w = contour_eigvals(ab, gamma)
+        w_ref, _ = eig_complex(_dense_form(ab))
+        w_ref = w_ref[gamma.contains(w_ref)]
+        assert w.size == w_ref.size > 0
+        dist = np.abs(w[:, None] - w_ref[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() < 1e-10 * np.linalg.norm(ab)
 
     @pytest.mark.parametrize(
         "spec",
@@ -344,6 +381,17 @@ class TestMatching:
         assert not report.rows[0].matched
         assert not report.all_matched
 
+    def test_empty_eigendata_leaves_every_row_unmatched(self):
+        # a contour that holds no eigenvalue gives an Eigendata without values
+        data = Eigendata(np.empty(0, dtype=complex), bands=np.zeros((5, 64), dtype=complex))
+        closed = [EigenLevel(n=n, energy=complex(e), epsilon=1) for n, e in enumerate((-6.25, -2.25))]
+        report = match_levels(closed, data)
+        assert len(report.rows) == 2 and not report.all_matched
+        for row, level in zip(report.rows, closed):
+            assert not row.matched and (row.n, row.e_closed) == (level.n, level.energy)
+            assert math.isnan(row.e_numeric.real) and math.isnan(row.e_numeric.imag)
+            assert math.isnan(row.abs_error) and math.isnan(row.boundary_decay)
+
     def test_empty_closed_list(self, scarf96_box18):
         _, _, _, eigendata = scarf96_box18
         assert match_levels([], eigendata).rows == []
@@ -382,6 +430,68 @@ class TestMatching:
         assert near.size == 2
         assert abs(near[0] - (-0.2510678330)) < 5e-6
         assert abs(near[1] - (-0.2489054037)) < 5e-6
+
+
+def _signed(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+CONTOUR_SPECS = st.one_of(
+    st.builds(ScarfSpec, st.floats(0.0, 60.0), _signed(0.1, 10.0)),
+    st.builds(PoschlTellerSpec, st.floats(-0.2, 30.0), _signed(0.1, 10.0),
+              st.floats(-2.0, 2.0), _signed(0.05, 0.75)),
+    st.builds(MorseSpec, st.floats(-5.0, 5.0), _signed(0.1, 5.0),
+              st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.builds(MorseABSpec, st.floats(0.2, 3.0), _signed(0.2, 3.0),
+              st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
+)
+
+
+def _assert_contour_bound(ab, ref, vector, tol):
+    """The contour of ab holds every decaying dense eigenvalue ref[i] (vector(i)
+    passes the gate) up to the right end of the padded rectangle
+    [lo, hi] x [-M, M] it encloses, and the contour solve returns each of
+    them to tol[i].
+
+    Past that end the decay gate does not separate bound from box states:
+    the complex box continuum of Morse passes it up to Re E ~ 260 at N = 300
+    (MorseSpec(0.5, 2, 3, 1.5): 122 decaying eigenvalues), and so do lattice
+    states at the top of the band (Scarf(0, 5): 297 +- 1.1i).  A contour
+    holding them would hold nearly the whole spectrum.
+    """
+    gamma = contour(ab)
+    w = contour_eigvals(ab, gamma)
+    right = gamma.center + gamma.a / math.sqrt(2.0)
+    for i in np.nonzero(ref.real <= right)[0]:
+        if boundary_decay(vector(int(i))) <= DEFAULT_DECAY_GATE:
+            assert gamma.contains(ref[i]), (ref[i], gamma)
+            assert np.abs(w - ref[i]).min() <= tol[i], ref[i]
+
+
+class TestContourBound:
+    @settings(max_examples=16, deadline=None)
+    @given(CONTOUR_SPECS)
+    @example(ScarfSpec(60.0, 3.0))
+    @example(ScarfSpec(1.0, 1.2))
+    @example(ScarfSpec(1.0, 1.25))
+    @example(PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8))
+    @example(MorseSpec(0.5, 2.0, 3.0, 1.5))
+    def test_decaying_eigenvalues_inside_contour(self, spec):
+        # 1e-7, plus the dense reference's own first-order error
+        # cond(lambda) eps ||H||_F: the box continuum of Morse has condition
+        # numbers up to ~1e5, where that term passes 1e-7
+        ab = banded_form(spec.potential, default_grid(spec, 300))
+        ref, left, right = scipy.linalg.eig(_dense_form(ab), left=True, right=True)
+        cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))  # unit-norm columns
+        tol = 1e-7 + cond * np.finfo(float).eps * np.linalg.norm(ab)
+        _assert_contour_bound(ab, ref, lambda i: right[:, i], tol)
+
+    def test_pinned_box_inside_contour(self):
+        # criterion 1's box: dense eigenvalues, vectors by inverse iteration
+        ab = banded_form(ScarfSpec(9.75, 6.0).potential, Grid(-15.0, 15.0, 3000))
+        reference = Eigendata(dense_eigvals(ab), bands=ab)
+        tol = np.full(reference.values.size, 1e-7)
+        _assert_contour_bound(ab, reference.values, reference.vector, tol)
 
 
 class TestResidual:
