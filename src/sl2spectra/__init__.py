@@ -41,8 +41,6 @@ from .oracle import (
     MatchReport,
     boundary_decay,
     default_grid,
-    discretize,
-    eigvals_complex,
     match_levels,
     residual,
     verify_spectrum,
@@ -91,8 +89,6 @@ __all__ = [
     "boundary_decay",
     "classify",
     "default_grid",
-    "discretize",
-    "eigvals_complex",
     "energy_level",
     "enumerate_levels",
     "ground_state",

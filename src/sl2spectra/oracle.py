@@ -19,7 +19,10 @@ Math. 159, 119 (2003)): random probes filtered by a trapezoidal rule on
 Gamma, one banded LU per node, a Rayleigh-Ritz step on the filtered
 subspace and a polish of each eigenvalue by inverse iteration on the bands.
 Its working set is O(N p) for p probes, p a little above the number of
-eigenvalues inside Gamma; no N x N array exists on this path.
+eigenvalues inside Gamma; no N x N array exists on this path.  The few
+eigenvectors the matching probes come lazily (`Eigendata`), each from one
+banded LU and three solves of the same inverse iteration (`_inverse_steps`)
+that polishes the eigenvalues.
 
 PT-symmetric potentials (V(-x) = conj V(x): Scarf II, and generalized
 Poschl-Teller with c = 0) on a box symmetric about 0 give bands with
@@ -128,7 +131,7 @@ def default_grid(spec, n_points: int | None = None) -> Grid:
 
 def _check_dense_cap(m: int) -> None:
     if m > DENSE_CAP:
-        raise InvalidSpec(f"dense solver capped at N = {DENSE_CAP}, got {m}")
+        raise InvalidSpec(f"grid interior capped at {DENSE_CAP} points, got {m}")
 
 
 def banded_form(potential, grid: Grid) -> np.ndarray:
@@ -337,26 +340,37 @@ def _apply(ab: np.ndarray, x: np.ndarray, real: bool) -> np.ndarray:
     return banded_matvec(ab.real, x) - banded_matvec(ab.imag, x[::-1])
 
 
+def _inverse_steps(ab: np.ndarray, z: complex, v: np.ndarray, steps: int) -> np.ndarray | None:
+    """steps normalized inverse-iteration steps v <- (z - H)^-1 v / ||(z - H)^-1 v||
+    on one banded LU of z - H (`_shifted_lu`), or None when z - H is exactly
+    singular.  v is complex and is overwritten."""
+    from scipy.linalg import lapack
+
+    factors = _shifted_lu(ab, z)
+    if factors is None:
+        return None
+    for _ in range(steps):
+        v, _ = lapack.zgbtrs(factors[0], 2, 2, v, factors[1], overwrite_b=True)
+        v /= np.linalg.norm(v)
+    return v
+
+
 def _polish(ab: np.ndarray, lam: complex, v: np.ndarray) -> complex:
     """lam refined on the bands from its Ritz vector v.
 
     POLISH_ROUNDS rounds, each of two inverse-iteration steps at shift lam
-    followed by lam = v^T H v / v^T v, a quotient that is stationary at the
-    eigenvectors of the complex-symmetric H (the FD H is symmetric but for
-    its wall rows, where a decaying vector is small).  The second round
-    matters for the ill-conditioned box continuum, whose Ritz values can be
-    off by ~1e-3 (condition ~1e5 on the complex Morse continuum).
+    (`_inverse_steps`) followed by lam = v^T H v / v^T v, a quotient that is
+    stationary at the eigenvectors of the complex-symmetric H (the FD H is
+    symmetric but for its wall rows, where a decaying vector is small).  The
+    second round matters for the ill-conditioned box continuum, whose Ritz
+    values can be off by ~1e-3 (condition ~1e5 on the complex Morse
+    continuum).
     """
-    from scipy.linalg import lapack
-
     v = v.astype(complex)
     for _ in range(POLISH_ROUNDS):
-        factors = _shifted_lu(ab, lam)
-        if factors is None:
+        v = _inverse_steps(ab, lam, v, 2)
+        if v is None:
             return lam
-        for _ in range(2):
-            v, _ = lapack.zgbtrs(factors[0], 2, 2, v, factors[1], overwrite_b=True)
-            v /= np.linalg.norm(v)
         lam = complex(v @ banded_matvec(ab, v) / (v @ v))
     return lam
 
@@ -429,9 +443,10 @@ def contour_eigvals(ab: np.ndarray, gamma: Ellipse) -> np.ndarray:
 class Eigendata:
     """Sorted eigenvalues plus on-demand eigenvectors of one discretized operator.
 
-    Vectors come lazily from inverse iteration on the pentadiagonal bands
-    (three banded solves per vector), for the few candidates matching
-    probes.  Each vector is checked against
+    Vectors come lazily from inverse iteration on the pentadiagonal bands,
+    for the few candidates matching probes: one banded LU of lambda - H and
+    three solves per vector, through `_inverse_steps`, the helper the polish
+    of `contour_eigvals` also uses.  Each vector is checked against
     the backward-error contract ||H v - lambda v|| / (||H||_F ||v||) <
     BACKWARD_ERROR_TOL, and a violation raises NoConvergence.
     """
@@ -454,20 +469,13 @@ class Eigendata:
         return self._cache[index]
 
     def _inverse_iteration(self, lam: complex) -> np.ndarray:
-        import scipy.linalg
-
         m = self._bands.shape[1]
-        shifted = self._bands.copy()
-        shifted[2, :] -= lam
         rng = np.random.default_rng(0)
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         v /= np.linalg.norm(v)
-        for _ in range(3):
-            try:
-                v = scipy.linalg.solve_banded((2, 2), shifted, v)
-            except scipy.linalg.LinAlgError as exc:
-                raise NoConvergence(f"inverse iteration stalled at {lam}: {exc}") from exc
-            v /= np.linalg.norm(v)
+        v = _inverse_steps(self._bands, lam, v, 3)
+        if v is None:
+            raise NoConvergence(f"inverse iteration stalled at {lam}: the shift is an eigenvalue")
         resid = np.linalg.norm(banded_matvec(self._bands, v) - lam * v)
         if resid / self._h_norm >= BACKWARD_ERROR_TOL:
             raise NoConvergence(
@@ -524,50 +532,34 @@ def match_levels(
     vectors fail the gate.  Candidates at equal distance (such as the two members of
     an exact conjugate pair seen from a real level) are probed in the
     (re, im) order of eigendata.values, so the member with negative
-    imaginary part comes first.  With no numeric eigenvalue at all (an
-    operator whose contour holds none), every row is unmatched, with nan for
-    e_numeric, abs_error and boundary_decay.
+    imaginary part comes first.  When none of the MAX_DECAY_PROBES nearest
+    decays, the row is unmatched and reports the nearest candidate.  With no
+    numeric eigenvalue at all (an operator whose contour holds none), every
+    row is unmatched, with nan for e_numeric, abs_error and boundary_decay.
     """
     rows = []
     for level in closed:
-        if eigendata.values.size == 0:
-            rows.append(
-                LevelMatch(
-                    n=level.n,
-                    epsilon=level.epsilon,
-                    e_closed=complex(level.energy),
-                    e_numeric=complex(math.nan, math.nan),
-                    abs_error=math.nan,
-                    boundary_decay=math.nan,
-                    matched=False,
-                )
-            )
-            continue
         order = np.argsort(np.abs(eigendata.values - level.energy), kind="stable")
-        chosen = None
-        for idx in order[:MAX_DECAY_PROBES]:
-            decay = boundary_decay(eigendata.vector(int(idx)))
-            if decay <= DEFAULT_DECAY_GATE:
-                chosen = (int(idx), decay)
-                break
-        if chosen is None:
-            idx = int(order[0])
+        chosen, decays = None, False  # (index, boundary decay) of the row's candidate
+        for idx in map(int, order[:MAX_DECAY_PROBES]):
             decay = boundary_decay(eigendata.vector(idx))
-            chosen = (idx, decay)
-            matched = False
-        else:
-            idx, decay = chosen
-            matched = abs(eigendata.values[idx] - level.energy) <= tol
-        e_num = complex(eigendata.values[chosen[0]])
+            decays = decay <= DEFAULT_DECAY_GATE
+            if chosen is None or decays:
+                chosen = (idx, decay)
+            if decays:
+                break
+        idx, decay = chosen or (None, math.nan)
+        e_num = complex(math.nan, math.nan) if idx is None else complex(eigendata.values[idx])
+        abs_error = abs(e_num - level.energy)
         rows.append(
             LevelMatch(
                 n=level.n,
                 epsilon=level.epsilon,
                 e_closed=complex(level.energy),
                 e_numeric=e_num,
-                abs_error=abs(e_num - level.energy),
-                boundary_decay=chosen[1],
-                matched=matched,
+                abs_error=abs_error,
+                boundary_decay=decay,
+                matched=decays and bool(abs_error <= tol),
             )
         )
     return MatchReport(rows=rows)

@@ -179,18 +179,3 @@ def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[Ph
         kinds = [row[1] for row in branch_rows]
         rows.append(PhaseDiagramRow(value, real, paired // 2, _classification_of(kinds)))
     return rows
-
-
-def conjugate_pair_closure(report: SpectrumReport) -> float:
-    """Largest unpaired distance of the level multiset under conjugation.
-
-    For a BrokenConjugatePairs report this is the worst |E - conj(E')| over
-    the pairing of the two branches' levels; exact closed forms keep it at
-    rounding level (< 1e-12).
-    """
-    energies = [lv.energy for _, levels in report.branches for lv in levels]
-    worst = 0.0
-    for e in energies:
-        best = min(abs(e - e2.conjugate()) for e2 in energies)
-        worst = max(worst, best)
-    return worst

@@ -9,7 +9,9 @@ form of a PT-symmetric H, written into the front half of one complex N x N
 allocation (`real_form_matrix`), or H itself.  The package decides PT
 symmetry on the five bands of H; `pt_real_form` makes the same decision on
 the whole dense matrix, the way the package made it before it built the
-bands directly.
+bands directly.  `solve_banded_vector` is the inverse iteration `Eigendata`
+ran before it shared the polish's banded LU, which the tests pin its vectors
+to.
 """
 
 import math
@@ -100,3 +102,21 @@ def dense_eigvals(ab: np.ndarray) -> np.ndarray:
     real form when the bands pass the PT check, with its complex eigenvalues
     in exact conjugate pairs, and of H itself otherwise."""
     return eigvals_complex(real_form_matrix(ab) if _pt_symmetric(ab) else _dense_form(ab))
+
+
+def solve_banded_vector(ab: np.ndarray, lam: complex) -> np.ndarray:
+    """Three normalized inverse-iteration steps with H - lam from the seeded
+    start vector of `Eigendata`, each a `scipy.linalg.solve_banded` call that
+    factors H - lam again."""
+    import scipy.linalg
+
+    m = ab.shape[1]
+    shifted = ab.copy()
+    shifted[2, :] -= lam
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    v /= np.linalg.norm(v)
+    for _ in range(3):
+        v = scipy.linalg.solve_banded((2, 2), shifted, v)
+        v /= np.linalg.norm(v)
+    return v

@@ -18,12 +18,11 @@ from sl2spectra import (
     InvalidSpec,
     MorseABSpec,
     MorseSpec,
+    NoConvergence,
     PoschlTellerSpec,
     ScarfSpec,
     boundary_decay,
     default_grid,
-    discretize,
-    eigvals_complex,
     ground_state,
     match_levels,
     residual,
@@ -43,10 +42,12 @@ from sl2spectra.oracle import (
     banded_matvec,
     contour,
     contour_eigvals,
+    discretize,
+    eigvals_complex,
 )
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
 
-from dense_reference import dense_eigvals, eig_complex, pt_real_form
+from dense_reference import dense_eigvals, eig_complex, pt_real_form, solve_banded_vector
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,26 @@ class TestEig:
         overlap = abs(np.vdot(lazy, dense)) ** 2
         assert overlap / (np.vdot(lazy, lazy).real * np.vdot(dense, dense).real) > 1 - 1e-10
 
+    @pytest.mark.parametrize("spec", [ScarfSpec(9.75, 6.0), MorseABSpec(1.0, 1.0, 3.0, 5.0)])
+    def test_vectors_pinned_to_solve_banded_reference(self, spec):
+        # one LU of lam - H and three solves against three LUs of H - lam: the
+        # factors are exact negatives, so the vectors differ by sign alone
+        ab = _fd_bands(spec)
+        assert _pt_check(ab) == isinstance(spec, ScarfSpec)
+        data = Eigendata.from_bands(ab)
+        assert data.values.size > 0
+        for i, lam in enumerate(data.values):
+            assert np.array_equal(np.abs(data.vector(i)), np.abs(solve_banded_vector(ab, lam)))
+
+    @pytest.mark.parametrize("lam, match", [(1.0, "stalled"), (0.5, "contract")])
+    def test_vector_raises_no_convergence(self, lam, match):
+        # H = I: the shift 1 makes H - lam exactly singular, and the shift 0.5
+        # leaves a vector whose residual |1 - 0.5| breaks the backward-error contract
+        ab = np.zeros((5, 16), dtype=complex)
+        ab[2] = 1.0
+        with pytest.raises(NoConvergence, match=match):
+            Eigendata(np.array([lam], dtype=complex), bands=ab).vector(0)
+
 
 # PT-symmetric specs on boxes symmetric about 0: P conj(H) P = H holds.
 PT_CASES = {
@@ -391,6 +412,21 @@ class TestMatching:
             assert not row.matched and (row.n, row.e_closed) == (level.n, level.energy)
             assert math.isnan(row.e_numeric.real) and math.isnan(row.e_numeric.imag)
             assert math.isnan(row.abs_error) and math.isnan(row.boundary_decay)
+
+    def test_matched_is_a_plain_bool_on_every_row(self, scarf96_box18):
+        # rows whose candidate decays (within tol or not), a row whose only
+        # candidate fails the gate, and a row with no candidate at all
+        _, _, closed, eigendata = scarf96_box18
+        fake = [EigenLevel(n=0, energy=1.0 + 0j, epsilon=1)]
+        flat = _GivenVectors(np.array([0j]), np.ones((64, 1), dtype=complex))
+        empty = Eigendata(np.empty(0, dtype=complex), bands=np.zeros((5, 64), dtype=complex))
+        rows = [
+            row
+            for data, levels in ((eigendata, closed + fake), (flat, fake), (empty, fake))
+            for row in match_levels(levels, data).rows
+        ]
+        assert [row.matched for row in rows] == [True] * len(closed) + [False] * 3
+        assert all(type(row.matched) is bool for row in rows)
 
     def test_empty_closed_list(self, scarf96_box18):
         _, _, _, eigendata = scarf96_box18
