@@ -15,16 +15,7 @@ from .algebra import (
     ground_state,
     tower_state,
 )
-from .errors import (
-    BranchCutCrossing,
-    EmptyFunction,
-    GridTooCoarse,
-    InvalidSpec,
-    NoConvergence,
-    NoRegularBranch,
-    SingularPoint,
-    SpectraError,
-)
+from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
 from .families import (
     AlgebraicSolution,
     BranchKind,
@@ -61,15 +52,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicSolution",
-    "BranchCutCrossing",
     "BranchKind",
     "Classification",
     "EigenLevel",
     "Eigendata",
-    "EmptyFunction",
     "Grid",
     "GridFunction",
-    "GridTooCoarse",
     "InvalidSpec",
     "MatchReport",
     "MorseABSpec",
@@ -81,7 +69,6 @@ __all__ = [
     "PotentialClass",
     "RealizationParams",
     "ScarfSpec",
-    "SingularPoint",
     "SpectraError",
     "SpectrumReport",
     "analyze",

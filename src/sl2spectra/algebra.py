@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BranchCutCrossing, GridTooCoarse, SingularPoint
+from .errors import InvalidSpec
 
 GAMMA_MIN = -np.pi / 4
 GAMMA_MAX = np.pi / 4
@@ -64,11 +64,11 @@ class RealizationParams:
 
     def __post_init__(self):
         if not (GAMMA_MIN <= self.gamma < GAMMA_MAX):
-            raise ValueError(f"gamma={self.gamma} outside [-pi/4, pi/4)")
+            raise InvalidSpec(f"gamma={self.gamma} outside [-pi/4, pi/4)")
         if self.potential_class is PotentialClass.II and self.gamma == 0.0:
-            raise ValueError("class II needs gamma != 0 (contour must avoid x = c)")
+            raise InvalidSpec("class II needs gamma != 0 (contour must avoid x = c)")
         if self.potential_class is PotentialClass.III_UPPER and (self.c != 0.0 or self.gamma != 0.0):
-            raise ValueError("class III uses no contour shift: require c = gamma = 0")
+            raise InvalidSpec("class III uses no contour shift: require c = gamma = 0")
 
     @property
     def b(self) -> complex:
@@ -114,7 +114,7 @@ class RealizationParams:
     def _check_singular(self, sinh_tau):
         bad = np.abs(sinh_tau) < SINGULAR_EPS
         if np.any(bad):
-            raise SingularPoint(
+            raise InvalidSpec(
                 f"contour passes within {SINGULAR_EPS} of the class-II singularity"
             )
 
@@ -136,25 +136,25 @@ class GridFunction:
         self.xs = np.asarray(self.xs, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
         if self.xs.ndim != 1 or self.xs.shape != self.values.shape:
-            raise ValueError("xs and values must be 1-d arrays of equal length")
+            raise InvalidSpec("xs and values must be 1-d arrays of equal length")
         if self.xs.size >= 2 and not np.all(np.diff(self.xs) > 0):
-            raise ValueError("xs must be strictly increasing")
+            raise InvalidSpec("xs must be strictly increasing")
 
     @property
     def spacing(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
     def require_uniform(self, min_points: int):
-        """Raise GridTooCoarse unless xs is uniform, MAX_GRID_SPACING fine, min_points long."""
+        """Raise InvalidSpec unless xs is uniform, MAX_GRID_SPACING fine, min_points long."""
         dx = np.diff(self.xs)
         if self.xs.size < min_points:
-            raise GridTooCoarse(f"need at least {min_points} points, got {self.xs.size}")
+            raise InvalidSpec(f"need at least {min_points} points, got {self.xs.size}")
         # linspace spacings differ from the nominal step in the last few bits
         rel_slack = 1e-9
         if np.max(np.abs(dx - dx[0])) > rel_slack * abs(dx[0]):
-            raise GridTooCoarse("grid spacing is not uniform")
+            raise InvalidSpec("grid spacing is not uniform")
         if dx[0] > MAX_GRID_SPACING * (1 + rel_slack):
-            raise GridTooCoarse(f"spacing {float(dx[0])!r} exceeds {MAX_GRID_SPACING}")
+            raise InvalidSpec(f"spacing {float(dx[0])!r} exceeds {MAX_GRID_SPACING}")
 
 
 def _detect_branch_cut(w: np.ndarray, what: str):
@@ -165,10 +165,10 @@ def _detect_branch_cut(w: np.ndarray, what: str):
     pi.  Crossings are reported, never silently unwrapped.
     """
     if np.any(~np.isfinite(w)) or np.any(w == 0):
-        raise BranchCutCrossing(f"{what} hit zero or overflowed on the sampled contour")
+        raise InvalidSpec(f"{what} hit zero or overflowed on the sampled contour")
     jumps = np.abs(np.diff(np.angle(w)))
     if np.any(jumps > np.pi):
-        raise BranchCutCrossing(f"principal-branch argument of {what} crossed +-pi")
+        raise InvalidSpec(f"principal-branch argument of {what} crossed +-pi")
 
 
 def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
@@ -182,7 +182,8 @@ def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
 
     Its energy is energy_level(m, 0).  The proportionality constant is fixed
     by value 1 at x = c (class III has c = 0).  Regularity of the result is the caller's business;
-    this routine only refuses detectable branch-cut crossings.
+    this routine only refuses detectable branch-cut crossings and a profile
+    that is not finite on xs (InvalidSpec, without a numpy warning).
     """
     xs = np.asarray(xs, dtype=float)
     m = complex(m)
@@ -205,10 +206,14 @@ def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
         x = np.asarray(x, dtype=float)
         return np.exp(-(m - 0.5) * x - r.b * np.exp(-x))
 
-    ref = complex(raw(np.array([r.c]))[0])
-    if ref == 0 or not cmath.isfinite(ref):
-        raise BranchCutCrossing(f"reference value at x={r.c} is {ref}")
-    return GridFunction(xs, raw(xs) / ref)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are rejected below
+        ref = complex(raw(np.array([r.c]))[0])
+        if ref == 0 or not cmath.isfinite(ref):
+            raise InvalidSpec(f"reference value at x={r.c} is {ref}")
+        values = raw(xs) / ref
+    if not np.all(np.isfinite(values)):
+        raise InvalidSpec("ground state is not finite on the grid")
+    return GridFunction(xs, values)
 
 
 def _diff1(values: np.ndarray, h: float) -> np.ndarray:
@@ -242,12 +247,16 @@ def tower_state(r: RealizationParams, m: complex, n: int, xs) -> GridFunction:
 
     The seed is ground_state(r, m - n, xs) (value 1 at the reference point);
     each raising step is applied on the same grid, so the result is
-    unnormalized.
+    unnormalized.  A profile that is not finite on xs raises InvalidSpec,
+    without a numpy warning.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise InvalidSpec("n must be non-negative")
     m = complex(m)
     psi = ground_state(r, m - n, xs)
-    for j in range(n):
-        psi = apply_ladder(psi, m - n + j, r)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are rejected below
+        for j in range(n):
+            psi = apply_ladder(psi, m - n + j, r)
+    if not np.all(np.isfinite(psi.values)):
+        raise InvalidSpec(f"profile n={n} is not finite on the grid")
     return psi

@@ -8,7 +8,8 @@ stdlib's json.dumps writes for the document with a two-space indent, plus a
 newline; `report_document` writes that text in one pass, formatting each
 number once.
 
-Exit codes: 0 success; 2 invalid input (a bad or non-finite coupling, or one
+Exit codes, one SpectraError subclass each (main catches SpectraError alone):
+0 success; 2 InvalidSpec, invalid input (a bad or non-finite coupling, or one
 above families.MAX_COUPLING in magnitude, which 15 digits would round to inf;
 Morse couplings that overflow the matching equations, missing family flags,
 an empty, non-finite or oversized (spectrum.MAX_SWEEP_SAMPLES) sweep range or
@@ -18,14 +19,16 @@ than 16 points (--n-points 0 included), a grid too coarse for the requested
 profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
 spacing h has an h^2 or 1/h^4 that overflows or is below the smallest normal
 double (a box as wide as +-1e80 at 100 points) or on which the potential is
-not finite (a Poschl-Teller box of +-800), a profile of more than
-MAX_PROFILE_POINTS points, a non-finite or non-positive --tol, or a
+not finite (a Morse box reaching x = -800), a verify operator whose
+Frobenius norm overflows, a profile of more than MAX_PROFILE_POINTS points or
+one that is not finite on its grid, a non-finite or non-positive --tol, a
 --from-file that is unreadable, lacks a column, holds a non-finite value, is
 zero everywhere, has fewer than 16 rows or an x column that is not strictly
-increasing and uniform, or any other SpectraError);
-3 no regular branch (analyze still emits an empty-spectrum document, the
-other commands print nothing); 4 verification mismatch; 5 eigensolver
-non-convergence.
+increasing and uniform, or an --output that cannot be written);
+3 NoRegularBranch, no regular branch (analyze still emits an empty-spectrum
+document, the other commands print nothing); 4 verification mismatch;
+5 NoConvergence, eigensolver failure (the contour method's projected
+eigensolve included).
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ EXIT_INVALID = 2
 EXIT_NO_BRANCH = 3
 EXIT_UNMATCHED = 4
 EXIT_NO_CONVERGENCE = 5
-EXIT_CODES = {NoRegularBranch: EXIT_NO_BRANCH, NoConvergence: EXIT_NO_CONVERGENCE}
+EXIT_CODES = {InvalidSpec: EXIT_INVALID, NoRegularBranch: EXIT_NO_BRANCH,
+              NoConvergence: EXIT_NO_CONVERGENCE}
 
 
 def _fmt(x: float) -> str:
@@ -189,11 +193,14 @@ def _num_or_null(x: float | None) -> str:
 
 
 def _emit(text: str, output: str | None):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write {output}: {type(exc).__name__}: {exc}") from exc
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -387,7 +394,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return dispatch[args.command](config)
-    except (SpectraError, ValueError) as exc:
+    except SpectraError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CODES.get(type(exc), EXIT_INVALID)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one subclass per CLI exit code."""
 
 
 class SpectraError(Exception):
@@ -6,28 +6,12 @@ class SpectraError(Exception):
 
 
 class InvalidSpec(SpectraError):
-    """A potential specification violates its parameter constraints."""
+    """The input (a specification, grid, profile, range or file) is unusable: exit 2."""
 
 
 class NoRegularBranch(SpectraError):
-    """No admissible parameter branch survives the regularity conditions."""
-
-
-class SingularPoint(SpectraError):
-    """A realization function was evaluated too close to a contour singularity."""
-
-
-class BranchCutCrossing(SpectraError):
-    """The principal-branch argument of a complex power wrapped across +-pi."""
-
-
-class GridTooCoarse(SpectraError):
-    """A grid is too coarse (or non-uniform) for the requested finite differences."""
+    """No admissible parameter branch survives the regularity conditions: exit 3."""
 
 
 class NoConvergence(SpectraError):
-    """An eigensolver failed to converge or violated its accuracy contract."""
-
-
-class EmptyFunction(SpectraError):
-    """An operation received an identically-zero grid function."""
+    """An eigensolver failed to converge or violated its accuracy contract: exit 5."""

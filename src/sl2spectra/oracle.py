@@ -50,7 +50,7 @@ import numpy as np
 
 from . import families, spectrum
 from .algebra import GridFunction
-from .errors import EmptyFunction, InvalidSpec, NoConvergence
+from .errors import InvalidSpec, NoConvergence
 
 DENSE_CAP = 4096
 BACKWARD_ERROR_TOL = 1e-10
@@ -105,11 +105,11 @@ class Grid:
 
     def __post_init__(self):
         if not math.isfinite(self.x_max - self.x_min):
-            raise ValueError(f"domain [{self.x_min}, {self.x_max}] is not finite")
+            raise InvalidSpec(f"domain [{self.x_min}, {self.x_max}] is not finite")
         if not self.x_min < self.x_max:
-            raise ValueError(f"empty domain [{self.x_min}, {self.x_max}]")
+            raise InvalidSpec(f"empty domain [{self.x_min}, {self.x_max}]")
         if self.n_points < 16:
-            raise ValueError(f"need at least 16 points, got {self.n_points}")
+            raise InvalidSpec(f"need at least 16 points, got {self.n_points}")
 
     @property
     def spacing(self) -> float:
@@ -147,7 +147,8 @@ def banded_form(potential, grid: Grid) -> np.ndarray:
     overflows or falls below the smallest normal double, raises InvalidSpec
     before anything is allocated or the potential is evaluated; a potential
     that is not finite on the interior raises InvalidSpec without a warning,
-    and so does an H whose largest entry is below LAPACK_SCALE_FLOOR.
+    and so does an H whose largest entry is below LAPACK_SCALE_FLOOR or whose
+    Frobenius norm overflows (it scales Eigendata's backward error).
     """
     m = grid.n_points - 2
     _check_dense_cap(m)
@@ -177,6 +178,12 @@ def banded_form(potential, grid: Grid) -> np.ndarray:
         raise InvalidSpec(
             f"largest operator entry {peak:.3g} is below {LAPACK_SCALE_FLOOR:.3g}, "
             "where LAPACK's xGEEV rescales the projected matrix and loses the spectrum"
+        )
+    with np.errstate(over="ignore"):  # the check below rejects inf
+        norm = float(np.linalg.norm(ab))
+    if not math.isfinite(norm):
+        raise InvalidSpec(
+            f"the Frobenius norm of the operator overflows (largest entry {peak:.3g})"
         )
     return ab
 
@@ -340,10 +347,25 @@ def _apply(ab: np.ndarray, x: np.ndarray, real: bool) -> np.ndarray:
     return banded_matvec(ab.real, x) - banded_matvec(ab.imag, x[::-1])
 
 
+def _scaled_to_unit(z: np.ndarray) -> np.ndarray:
+    """z times the power of two that brings its largest real or imaginary part into [0.5, 1).
+
+    The scaling is exact, so it moves no bit of a ratio of entries or of a
+    vector over its norm; a zero z comes back as zero.
+    """
+    shift = -math.frexp(float(max(np.abs(z.real).max(), np.abs(z.imag).max())))[1]
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, shift)
+    out.imag = np.ldexp(z.imag, shift)
+    return out
+
+
 def _inverse_steps(ab: np.ndarray, z: complex, v: np.ndarray, steps: int) -> np.ndarray | None:
     """steps normalized inverse-iteration steps v <- (z - H)^-1 v / ||(z - H)^-1 v||
     on one banded LU of z - H (`_shifted_lu`), or None when z - H is exactly
-    singular.  v is complex and is overwritten."""
+    singular.  v is complex and is overwritten.  Each solution is scaled to
+    unit size (`_scaled_to_unit`) before its norm is taken, so a solution as
+    large as ~1e300 normalizes without overflow and without moving a bit."""
     from scipy.linalg import lapack
 
     factors = _shifted_lu(ab, z)
@@ -351,6 +373,7 @@ def _inverse_steps(ab: np.ndarray, z: complex, v: np.ndarray, steps: int) -> np.
         return None
     for _ in range(steps):
         v, _ = lapack.zgbtrs(factors[0], 2, 2, v, factors[1], overwrite_b=True)
+        v = _scaled_to_unit(v)
         v /= np.linalg.norm(v)
     return v
 
@@ -422,7 +445,10 @@ def contour_eigvals(ab: np.ndarray, gamma: Ellipse) -> np.ndarray:
     for lo in range(0, rank, PROBE_BLOCK):
         hq = _apply(ab, q[:, lo : lo + PROBE_BLOCK], real)
         projected[:, lo : lo + PROBE_BLOCK] = (q.T @ hq.conj()).conj()
-    lam, y = scipy.linalg.eig(projected, check_finite=False)
+    try:
+        lam, y = scipy.linalg.eig(projected, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NoConvergence(f"projected eigenvalue iteration failed: {exc}") from exc
     keep = gamma.contains(lam) & ((lam.imag >= 0) if real else True)
     values = []
     for lam_i, y_i in zip(lam[keep], y[:, keep].T):
@@ -490,7 +516,7 @@ def boundary_decay(vec: np.ndarray) -> float:
     edge = np.concatenate([np.abs(vec[:k]), np.abs(vec[-k:])])
     peak = float(np.abs(vec).max())
     if peak == 0.0:
-        raise EmptyFunction("eigenvector is identically zero")
+        raise NoConvergence("eigenvector is identically zero")
     return float(edge.mean() / peak)
 
 
@@ -570,20 +596,15 @@ def residual(psi: GridFunction, potential, energy: complex) -> float:
 
     The second derivative is the fourth-order centered stencil; the outer
     RESIDUAL_EDGE_SKIP points at each end are excluded from the max, so
-    one-sided stencils never enter.  psi is first scaled by the power of two
-    that brings its largest component into [0.5, 1): the scaling is exact, so
-    it leaves the ratio's bits alone, and a finite profile as large as ~1e308
-    cannot overflow the stencil.
+    one-sided stencils never enter.  psi is first scaled to unit size
+    (`_scaled_to_unit`), which leaves the ratio's bits alone, so a finite
+    profile as large as ~1e308 cannot overflow the stencil.
     """
     psi.require_uniform(min_points=16)
-    top = float(max(np.abs(psi.values.real).max(), np.abs(psi.values.imag).max()))
-    if top == 0.0:
-        raise EmptyFunction("cannot form a relative residual of the zero function")
-    shift = -math.frexp(top)[1]
-    vals = np.empty_like(psi.values)
-    vals.real = np.ldexp(psi.values.real, shift)
-    vals.imag = np.ldexp(psi.values.imag, shift)
+    vals = _scaled_to_unit(psi.values)
     peak = float(np.abs(vals).max())
+    if peak == 0.0:
+        raise InvalidSpec("cannot form a relative residual of the zero function")
     h = psi.spacing
     d2 = (
         -vals[:-4] + 16 * vals[1:-3] - 30 * vals[2:-2] + 16 * vals[3:-1] - vals[4:]

@@ -137,15 +137,16 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
 
     The stop sample is included when it lands within a relative 1e-9 of the
     accumulated value, which keeps ranges like 0.1:2.5:0.05 intact despite
-    floating-point accumulation.  A non-finite start, stop or step, or a
-    range of more than MAX_SWEEP_SAMPLES samples, raises InvalidSpec.
+    floating-point accumulation.  A non-finite start, stop or step, a step
+    that is not positive, an empty range, or a range of more than
+    MAX_SWEEP_SAMPLES samples raises InvalidSpec.
     """
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise InvalidSpec(f"sweep needs a finite start, stop and step, got {start}, {stop}, {step}")
     if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise InvalidSpec(f"step must be positive, got {step}")
     if stop < start:
-        raise ValueError(f"empty range: stop {stop} < start {start}")
+        raise InvalidSpec(f"empty range: stop {stop} < start {start}")
     samples = (stop - start) / step + 1e-9
     if not samples < MAX_SWEEP_SAMPLES:
         raise InvalidSpec(f"sweep of {samples:.6g} samples exceeds the cap of {MAX_SWEEP_SAMPLES}")

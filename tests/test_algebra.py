@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from sl2spectra import (
-    BranchCutCrossing,
     GridFunction,
-    GridTooCoarse,
+    InvalidSpec,
     PotentialClass,
     RealizationParams,
     ScarfSpec,
-    SingularPoint,
     apply_ladder,
     energy_level,
     ground_state,
@@ -65,20 +63,20 @@ class TestRealizationFunctions:
         # gamma tiny but nonzero passes validation yet puts the contour
         # within 1e-12 of the pole at x = c
         r = RealizationParams(PotentialClass.II, c=0.0, gamma=1e-15, b_re=1.0)
-        with pytest.raises(SingularPoint):
+        with pytest.raises(InvalidSpec, match="of the class-II singularity"):
             r.f(np.array([-0.5, 0.0, 0.5]))
-        with pytest.raises(SingularPoint):
+        with pytest.raises(InvalidSpec, match="of the class-II singularity"):
             r.g(0.0)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match=r"outside \[-pi/4, pi/4\)"):
             RealizationParams(PotentialClass.I, gamma=math.pi / 4)  # right-open range
         RealizationParams(PotentialClass.I, gamma=-math.pi / 4)  # left edge allowed
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="class II needs gamma != 0"):
             RealizationParams(PotentialClass.II, gamma=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="class III uses no contour shift"):
             RealizationParams(PotentialClass.III_UPPER, c=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="class III uses no contour shift"):
             RealizationParams(PotentialClass.III_UPPER, gamma=0.1)
 
     def test_coupled_ode_identities(self):
@@ -194,11 +192,11 @@ class TestGroundState:
     def test_branch_cut_detector(self):
         theta = np.linspace(math.pi - 0.3, math.pi + 0.3, 50)
         wrapping = np.exp(1j * theta)  # crosses the +-pi cut mid-way
-        with pytest.raises(BranchCutCrossing):
+        with pytest.raises(InvalidSpec, match=r"argument of synthetic crossed \+-pi"):
             _detect_branch_cut(wrapping, "synthetic")
         smooth = np.exp(1j * np.linspace(-1.0, 1.0, 50))
         _detect_branch_cut(smooth, "synthetic")  # no wrap, no error
-        with pytest.raises(BranchCutCrossing):
+        with pytest.raises(InvalidSpec, match="synthetic hit zero or overflowed"):
             _detect_branch_cut(np.array([1.0, 0.0, 1.0], dtype=complex), "synthetic")
 
 
@@ -212,10 +210,10 @@ class TestLadder:
     def test_grid_guards(self):
         r = r_class(PotentialClass.I, b=1j)
         coarse = GridFunction(np.linspace(-5, 5, 21), np.ones(21, dtype=complex))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(InvalidSpec, match=r"spacing 0\.5 exceeds 0\.1"):
             apply_ladder(coarse, 3.0, r)  # spacing 0.5 > 0.1
         tiny = GridFunction(np.linspace(-0.1, 0.1, 4), np.ones(4, dtype=complex))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(InvalidSpec, match="need at least 5 points, got 4"):
             apply_ladder(tiny, 3.0, r)
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -20,6 +21,11 @@ from hypothesis import strategies as st
 
 from sl2spectra import InvalidSpec, PotentialClass, families, oracle, spectrum
 from sl2spectra.cli import (
+    EXIT_INVALID,
+    EXIT_NO_BRANCH,
+    EXIT_NO_CONVERGENCE,
+    EXIT_OK,
+    EXIT_UNMATCHED,
     MAX_PROFILE_POINTS,
     _num,
     _spec_from_args,
@@ -271,8 +277,12 @@ class TestVerify:
              "--x-min=-1e70", "--x-max=1e70", "--n-points", "100"],
             ["--family", "poschl-teller", "--v1", "9.75", "--v2", "6",
              "--x-min=-800", "--x-max=800", "--n-points", "400"],
+            # x = 0 is a grid point, so V(0) = -9.75 lifts H above the LAPACK
+            # floor; the inverse-iteration vectors grow past 1e154
+            ["--family", "scarf2", "--v1", "9.75", "--v2", "6",
+             "--x-min=-1e70", "--x-max=1e70", "--n-points", "17"],
         ],
-        ids=["scarf-1e70-table", "gpt-800-table"],
+        ids=["scarf-1e70-table", "gpt-800-table", "scarf-1e70-odd-table"],
     )
     def test_wide_box_overflow_prints_no_warning(self, capsys, argv):
         with warnings.catch_warnings():
@@ -344,6 +354,20 @@ class TestWavefunction:
         assert code == 4  # a real residual at h = 0.1, not a rejected grid
         _, rows = parse_csv(out)
         assert float(rows[0][2]) > 1e-5
+
+    def test_morse_far_left_box_is_zero_without_warning(self, capsys):
+        # exp(-x) overflows at the left end, where the profile underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wavefunction", "--family", "morse-ab", "--A", "1", "--B", "1",
+                         "--gamma-p", "3", "--delta-p", "5", "--x-min=-800", "--x-max=0",
+                         "--n-points", "16"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        _, rows = parse_csv(captured.out)
+        assert rows[0] == ["-800", "0", "0"]
+        assert rows[-1] == ["0", "1", "0"]
 
     def test_output_file_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -438,6 +462,25 @@ BAD_INPUTS = {
     "wavefunction-over-profile-cap": ["wavefunction", *SCARF,
                                       "--n-points", str(MAX_PROFILE_POINTS + 1),
                                       "--output", "{tmp}/f.csv"],
+    "output-in-missing-dir": ["analyze", *SCARF, "--output", "{tmp}/missing/out.json"],
+    "output-is-a-dir": ["wavefunction", *SCARF, "--output", "{tmp}"],
+    # profiles that are not finite on their grid: the 150th ladder step
+    # overflows, a gPT power overflows, sech and sinh overflow at the far points
+    "wavefunction-ladder-overflow": ["wavefunction", "--family", "scarf2", "--v1", "1e5",
+                                     "--v2", "1", "--n", "150", "--n-points", "3000",
+                                     "--output", "{tmp}/f.csv"],
+    "wavefunction-gpt-power-overflow": ["wavefunction", "--family", "poschl-teller",
+                                        "--v1", "9.75", "--v2", "6", "--x-min=0",
+                                        "--x-max=800", "--n-points", "16", "--epsilon", "-1",
+                                        "--output", "{tmp}/f.csv"],
+    "wavefunction-scarf-800": ["wavefunction", *SCARF, "--x-min=-800", "--x-max=800",
+                               "--n-points", "16001"],
+    "wavefunction-gpt-1e70": ["wavefunction", "--family", "poschl-teller", "--v1", "9.75",
+                              "--v2", "6", "--x-min=0", "--x-max=1e70", "--n-points", "16"],
+    # H's entries are finite (the largest ~3e173), its Frobenius norm is not
+    "verify-morse-ab-norm-overflow": ["verify", "--family", "morse-ab", "--A", "1", "--B", "1",
+                                      "--gamma-p", "3", "--delta-p", "5", "--x-min=-200",
+                                      "--n-points", "400"],
 }
 
 
@@ -445,28 +488,57 @@ def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
 
-def assert_rejected(capsys, argv):
-    """main(argv) exits 2 within 1 s, warning-free, with one error line and valid JSON if any."""
+# The CLI contract: every call ends in a documented exit code, in bounded
+# time, with no traceback (any exception escaping main fails the test), no
+# numpy warning (warnings are errors) and one "error:" line on stderr when it
+# fails (exit 3 may end without one: analyze still writes its document).
+CONTRACT_SECONDS = 5.0
+
+
+def run_contract(argv, codes, seconds=CONTRACT_SECONDS):
+    """main(argv) under the contract above, ending in one of codes; returns (code, stdout)."""
+    out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
         code = main(argv)
-    elapsed = time.perf_counter() - t0
-    captured = capsys.readouterr()
-    assert [str(w.message) for w in caught] == []
-    assert code == 2
-    assert elapsed < 1.0
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("error: ")
-    if captured.out.strip():
-        json.loads(captured.out, parse_constant=_reject_constant)
+    assert time.perf_counter() - t0 < seconds
+    assert code in codes
+    err = err.getvalue()
+    if code in (EXIT_OK, EXIT_UNMATCHED):
+        assert err == ""
+    elif err or code != EXIT_NO_BRANCH:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    return code, out.getvalue()
+
+
+def assert_rejected(argv):
+    """main(argv) exits 2 within 1 s under the contract, with valid JSON if it writes any."""
+    _, out = run_contract(argv, {EXIT_INVALID}, seconds=1.0)
+    if out.strip():
+        json.loads(out, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exit_2(capsys, tmp_path, argv):
+def test_bad_input_exit_2(tmp_path, argv):
     for name, text in PROFILES.items():
         (tmp_path / name).write_text(text, newline="")
-    assert_rejected(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert_rejected([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(PROFILES)
+
+
+def test_projected_eigensolve_failure_exits_5(capsys, monkeypatch):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("synthetic failure")
+
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    code = main(["verify", *SCARF, "--n-points", "100"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "error: projected eigenvalue iteration failed: synthetic failure\n"
 
 
 # Runs in a fresh interpreter: the closed-form commands, then one dense verify.
@@ -694,3 +766,72 @@ def test_json_text_of_analyze_documents(family):
 @example(-math.inf)
 def test_number_text_matches_json_dumps(x):
     assert _num(x) == json.dumps(float(f"{x + 0.0:.15g}"))
+
+
+# The CLI contract under extreme input; an export that exits 0 also holds no
+# nan or inf.  argparse reads "-inf" as a flag, so values go in as --flag=value.
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, -1e-320,
+                     0.0, -0.0, 0.25]),
+    st.floats(),
+)
+BOX_ENDS = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e-158, 20.0, 35.0, 200.0, 800.0, 1e70, 1e80, 1e150,
+                     1e300, math.inf, math.nan]),
+    st.floats(0.1, 1000.0),
+)
+
+
+def coupling_argv(data, family):
+    """The couplings of the family's example spec, each kept or replaced by an extreme float."""
+    return ["--{}={!r}".format(name.replace("_", "-"),
+                               data.draw(st.one_of(st.just(value), EXTREME_FLOATS)))
+            for name, value in EXAMPLES[family].parameters().items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(EXAMPLES)), st.data())
+def test_analyze_contract(family, data):
+    argv = ["analyze", "--family", family, *coupling_argv(data, family)]
+    code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
+    if code != EXIT_INVALID:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(EXAMPLES)), st.data())
+def test_scan_contract(family, data):
+    start, stop, step = (data.draw(st.one_of(EXTREME_FLOATS, st.floats(-20.0, 20.0)))
+                         for _ in range(3))
+    if data.draw(st.booleans()):  # an ascending range with a positive step, half the time
+        start, stop, step = min(start, stop), max(start, stop), abs(step)
+    argv = ["scan", "--family", family, *coupling_argv(data, family),
+            f"--start={start!r}", f"--stop={stop!r}", f"--step={step!r}"]
+    code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
+    if code == EXIT_OK:
+        assert "nan" not in out and "inf" not in out
+
+
+def box_argv(data, max_points):
+    ends = [data.draw(BOX_ENDS) * data.draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)]
+    return [f"--x-min={min(ends)!r}", f"--x-max={max(ends)!r}",
+            "--n-points", str(data.draw(st.integers(16, max_points))),
+            "--epsilon", str(data.draw(st.sampled_from([1, -1]))),
+            "--n", str(data.draw(st.integers(-1, 3)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(EXAMPLES)), st.data())
+def test_wavefunction_contract(family, data):
+    argv = ["wavefunction", *family_argv(EXAMPLES[family]), *box_argv(data, 2000)]
+    code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
+    if code == EXIT_OK:
+        assert "nan" not in out and "inf" not in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(EXAMPLES)), st.data())
+def test_verify_contract(family, data):
+    argv = ["verify", *family_argv(EXAMPLES[family]), *box_argv(data, 200)]
+    run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH, EXIT_UNMATCHED,
+                        EXIT_NO_CONVERGENCE})

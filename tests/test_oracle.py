@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from sl2spectra import (
-    EmptyFunction,
     Grid,
     GridFunction,
-    GridTooCoarse,
     InvalidSpec,
     MorseABSpec,
     MorseSpec,
@@ -62,9 +60,9 @@ def scarf96_box18():
 
 class TestGrid:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match=r"empty domain \[1\.0, 1\.0\]"):
             Grid(1.0, 1.0, 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="need at least 16 points, got 8"):
             Grid(0.0, 1.0, 8)
 
     def test_geometry(self):
@@ -562,21 +560,21 @@ class TestResidual:
 
     def test_zero_function_guard(self):
         xs = np.linspace(-1, 1, 201)
-        with pytest.raises(EmptyFunction):
+        with pytest.raises(InvalidSpec, match="relative residual of the zero function"):
             residual(GridFunction(xs, np.zeros(201, dtype=complex)), lambda x: 0 * x, 0.0)
 
     def test_grid_guards(self):
         xs_coarse = np.linspace(-10, 10, 30)
         psi = GridFunction(xs_coarse, np.exp(-(xs_coarse**2)).astype(complex))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(InvalidSpec, match=r"spacing 0\.689\d* exceeds 0\.1"):
             residual(psi, lambda x: 0 * x, 0.0)
         xs_bad = np.concatenate([np.linspace(0, 1, 50), np.linspace(1.1, 4, 50)])
         psi_bad = GridFunction(xs_bad, np.ones(100, dtype=complex))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(InvalidSpec, match="grid spacing is not uniform"):
             residual(psi_bad, lambda x: 0 * x, 0.0)
 
     def test_boundary_decay_zero_vector(self):
-        with pytest.raises(EmptyFunction):
+        with pytest.raises(NoConvergence, match="eigenvector is identically zero"):
             boundary_decay(np.zeros(100, dtype=complex))
 
 

@@ -52,3 +52,56 @@ def test_benchmark_run_configs_use_existing_fields():
     ]
     assert "sweep" in keywords
     assert set(keywords) <= {f.name for f in fields(cli.RunConfig)}
+
+
+def _raises_by_function(path: Path) -> dict[str, list[ast.Raise]]:
+    """The raise statements of a module, keyed by the dotted name of their enclosing def."""
+    found: dict[str, list[ast.Raise]] = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                if isinstance(child, ast.Raise):
+                    found.setdefault(owner, []).append(child)
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_every_raise_is_the_error_of_an_exit_code():
+    # each failure raises the SpectraError subclass of its exit code where it
+    # arises, or re-raises; AlgebraicSolution's invariants, which branch_rows
+    # already ensures and no input reaches, stay ValueErrors that would show
+    # as a traceback
+    errors = {"InvalidSpec", "NoRegularBranch", "NoConvergence"}
+    invariants, stray = [], []
+    for path in sorted(Path(sl2spectra.__file__).parent.glob("*.py")):
+        for owner, raises in _raises_by_function(path).items():
+            for node in raises:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = None if exc is None else ast.unparse(exc)
+                if name is None or name in errors:
+                    continue
+                where = f"{path.stem}.{owner}"
+                if where == "families.AlgebraicSolution.__post_init__" and name == "ValueError":
+                    invariants.append(node)
+                else:
+                    stray.append(f"{where}:{node.lineno} raises {name}")
+    assert stray == []
+    assert len(invariants) == 3
+
+
+def test_cli_main_catches_spectra_error_alone():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [ast.unparse(handler.type)
+                for node in ast.walk(main) if isinstance(node, ast.Try)
+                for handler in node.handlers]
+    assert handlers == ["SpectraError"]
+    # one exit code per subclass, and no other subclass
+    assert set(cli.EXIT_CODES) == set(sl2spectra.SpectraError.__subclasses__())
+    assert len(set(cli.EXIT_CODES.values())) == len(cli.EXIT_CODES)

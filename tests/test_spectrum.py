@@ -197,9 +197,9 @@ class TestSweep:
         assert abs(vals[23] - 1.25) < 1e-12
 
     def test_sweep_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="step must be positive, got 0.0"):
             sweep_values(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="empty range: stop 0.0 < start 1.0"):
             sweep_values(1.0, 0.0, 0.1)
 
     def test_sweep_rejects_nonfinite_and_oversized(self):
