@@ -19,6 +19,8 @@ member of the induced potential family
 
 shares its bound levels -(m - n - 1/2)**2 across the tower m, m+1, m+2, ...
 connected by the first-order ladder operator  A_m+ = d/dx - (m + 1/2) f + g.
+Each class evaluates f and g together, in one place (`RealizationParams._fg`),
+which the potential and the ladder read.
 """
 
 from __future__ import annotations
@@ -79,25 +81,11 @@ class RealizationParams:
 
     def f(self, x):
         """First realization function; satisfies f' = 1 - f**2."""
-        cls = self.potential_class
-        if cls is PotentialClass.I:
-            return np.tanh(self.tau(x))
-        if cls is PotentialClass.II:
-            s = np.sinh(self.tau(x))
-            self._check_singular(s)
-            return np.cosh(self.tau(x)) / s
-        return np.ones_like(np.asarray(x, dtype=complex))
+        return self._fg(x)[0]
 
     def g(self, x):
         """Second realization function; satisfies g' = -f * g."""
-        cls = self.potential_class
-        if cls is PotentialClass.I:
-            return self.b / np.cosh(self.tau(x))
-        if cls is PotentialClass.II:
-            s = np.sinh(self.tau(x))
-            self._check_singular(s)
-            return self.b / s
-        return self.b * np.exp(-np.asarray(x, dtype=float))
+        return self._fg(x)[1]
 
     def potential(self, m: complex, x):
         """Family member V_m = (1/4 - m**2) f' + 2 m g' + g**2.
@@ -105,18 +93,26 @@ class RealizationParams:
         The derivatives are taken in closed form (f' = 1 - f**2, g' = -f*g),
         so no finite differencing enters here.
         """
-        f = self.f(x)
-        g = self.g(x)
+        f, g = self._fg(x)
         fp = 1.0 - f * f
         gp = -f * g
         return (0.25 - m * m) * fp + 2.0 * m * gp + g * g
 
-    def _check_singular(self, sinh_tau):
-        bad = np.abs(sinh_tau) < SINGULAR_EPS
-        if np.any(bad):
+    def _fg(self, x):
+        """(f, g) on x, from one tau and, for class II, one sinh(tau) and singularity check."""
+        cls = self.potential_class
+        if cls is PotentialClass.III_UPPER:
+            x = np.asarray(x, dtype=float)
+            return np.ones_like(x, dtype=complex), self.b * np.exp(-x)
+        tau = self.tau(x)
+        if cls is PotentialClass.I:
+            return np.tanh(tau), self.b / np.cosh(tau)
+        s = np.sinh(tau)
+        if np.any(np.abs(s) < SINGULAR_EPS):
             raise InvalidSpec(
                 f"contour passes within {SINGULAR_EPS} of the class-II singularity"
             )
+        return np.cosh(tau) / s, self.b / s
 
 
 def energy_level(m: complex, n: int) -> complex:
@@ -238,7 +234,8 @@ def apply_ladder(psi: GridFunction, m: complex, r: RealizationParams) -> GridFun
     psi.require_uniform(min_points=5)
     m = complex(m)
     dpsi = _diff1(psi.values, psi.spacing)
-    out = dpsi - (m + 0.5) * r.f(psi.xs) * psi.values + r.g(psi.xs) * psi.values
+    f, g = r._fg(psi.xs)
+    out = dpsi - (m + 0.5) * f * psi.values + g * psi.values
     return GridFunction(psi.xs, out)
 
 

@@ -23,8 +23,9 @@ not finite (a Morse box reaching x = -800), a verify operator whose
 Frobenius norm overflows, a profile of more than MAX_PROFILE_POINTS points or
 one that is not finite on its grid, a non-finite or non-positive --tol, a
 --from-file that is unreadable, lacks a column, holds a non-finite value, is
-zero everywhere, has fewer than 16 rows or an x column that is not strictly
-increasing and uniform, or an --output that cannot be written);
+zero everywhere, has fewer than 16 rows or more than MAX_PROFILE_POINTS (read
+no further), or an x column that is not strictly increasing and uniform, or an
+--output that cannot be written);
 3 NoRegularBranch, no regular branch (analyze still emits an empty-spectrum
 document, the other commands print nothing); 4 verification mismatch;
 5 NoConvergence, eigensolver failure (the contour method's projected
@@ -270,11 +271,19 @@ def _level_for(spec, epsilon: int, n: int):
 
 
 def _read_profile(path: str) -> GridFunction:
-    """The x, re_psi, im_psi columns of a CSV written by `wavefunction`."""
+    """The x, re_psi, im_psi columns of a CSV written by `wavefunction`.
+
+    Reading stops at the first row past MAX_PROFILE_POINTS, the largest
+    profile `wavefunction` writes, so time and memory stay bounded.
+    """
     xs, re_psi, im_psi = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
+                if len(xs) == MAX_PROFILE_POINTS:
+                    raise InvalidSpec(
+                        f"profile capped at {MAX_PROFILE_POINTS} points, {path} has more"
+                    )
                 xs.append(float(row["x"]))
                 re_psi.append(float(row["re_psi"]))
                 im_psi.append(float(row["im_psi"]))

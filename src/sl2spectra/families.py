@@ -5,7 +5,10 @@ Morse) is a closed-form member of one realization class.  Each family's
 `branch_rows` inverts the matching between its couplings and the realization
 parameters (b, m), applies the regularity conditions m_re > 1/2 (and b_re > 0
 for class III), and returns every admissible branch as a plain row;
-`solve` builds the branch objects from those rows.
+`solve` builds the branch objects from those rows.  Each family's branches
+come from complex arithmetic on one principal square root: sqrt(v1 + 1/4 - |v2|)
+for Scarf II and Poschl-Teller, whose branch point is the transition from
+real to complex levels, and sqrt(2 * v1) for Morse.
 
 Each family is one FamilySpec class, and FAMILIES maps family names to
 those classes; the rest of the package reads everything family-specific
@@ -14,6 +17,7 @@ from the spec.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -131,17 +135,8 @@ class ScarfSpec(FamilySpec):
     def branch_rows(self):
         """All admissible class-I branches of the complexified Scarf II potential.
 
-        Below the critical coupling |v2| <= v1 + 1/4 the two real series are
-
-            b = i * nu * (sq_p - eps * sq_m) / 2,   m = (sq_p + eps * sq_m) / 2,
-
-        with sq_p = sqrt(v1 + 1/4 + |v2|), sq_m = sqrt(v1 + 1/4 - |v2|) and
-        nu = sign(v2); above it the branches pair into complex conjugates
-
-            b = (nu*eps*sq_m + i*nu*sq_p) / 2,      m = (sq_p + i*eps*sq_m) / 2.
-
-        Each candidate is kept only if m_re > 1/2.  At the exact threshold the
-        two real series coincide and a single merged branch is returned.
+        The branches eps = +-1 of the matching equations m**2 - b**2 = v1 + 1/4
+        and 2*m*b = i*v2, each kept if m_re > 1/2; see `_scarf_pt_rows`.
         """
         return _scarf_pt_rows(self)
 
@@ -201,9 +196,8 @@ class PoschlTellerSpec(FamilySpec):
     def branch_rows(self):
         """All admissible class-II branches of the generalized Poschl-Teller potential.
 
-        The Scarf II branches with b multiplied by -i: the real series carry
-        b = nu * (sq_p - eps * sq_m) / 2 (purely real) and the broken-coupling
-        branches b = nu * (sq_p - i*eps*sq_m) / 2.  The contour parameters
+        The Scarf II branches with b multiplied by -i, b = nu * (sq_p - eps * r) / 2:
+        real below the critical coupling, complex above it.  The contour parameters
         (c, gamma) pass through to the realization and leave the eigenvalue
         series untouched.
         """
@@ -256,11 +250,12 @@ class MorseSpec(FamilySpec):
     def branch_rows(self):
         """The single admissible class-III branch of the complexified Morse potential.
 
-        With D = sqrt(v1r**2 + v1i**2) and nu = sign(v1i), regularity fixes
+        The matching equations are b**2 = v1 and 2*m*b = v2.  With
+        D = sqrt(v1r**2 + v1i**2), nu = sign(v1i) and the principal root
+        sqrt(2 * v1) = sqrt(v1r + D) + i * nu * sqrt(-v1r + D), regularity fixes
 
-            b = [sqrt(v1r + D) + i * nu * sqrt(-v1r + D)] / sqrt(2),
-            m = [sqrt(v1r + D) - i * nu * sqrt(-v1r + D)] * (v2r + i*v2i)
-                / (2 * sqrt(2) * D),
+            b = sqrt(2 * v1) / sqrt(2),
+            m = conj(sqrt(2 * v1)) * (v2r + i*v2i) / (2 * sqrt(2) * D),
 
         which gives b_re > 0, and the branch exists iff m_re > 1/2, i.e.
         sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D, and b_re clears
@@ -271,18 +266,19 @@ class MorseSpec(FamilySpec):
         belonging to the conjugated potential.
         """
         delta, nu, sp, sm = _morse_roots(self)
-        b_re = sp / math.sqrt(2)
-        b_im = nu * sm / math.sqrt(2)
+        root = complex(sp, nu * sm)  # sqrt(2 * v1), principal branch
+        b = root / math.sqrt(2)
+        numerator = root.conjugate() * complex(self.v2r, self.v2i)
         denom = 2 * math.sqrt(2) * delta
-        m_re = (sp * self.v2r + nu * sm * self.v2i) / denom
-        m_im = (sp * self.v2i - nu * sm * self.v2r) / denom
+        # part by part: a complex / float division can turn an m_re of -0.0 into 0.0
+        m_re, m_im = numerator.real / denom, numerator.imag / denom
         if not _strictly_above(m_re, 0.5):
             raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
-        if not _strictly_above(b_re, 0.0):
-            raise NoRegularBranch(f"Morse regularity fails: b_re = {b_re:.6g} is not > 0")
+        if not _strictly_above(b.real, 0.0):
+            raise NoRegularBranch(f"Morse regularity fails: b_re = {b.real:.6g} is not > 0")
         if morse_reality_residual(self) <= REG_TOL:
-            return [(1, BranchKind.REAL_SERIES, m_re, 0.0, complex(b_re, b_im))]
-        return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, complex(b_re, b_im))]
+            return [(1, BranchKind.REAL_SERIES, m_re, 0.0, b)]
+        return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
 
     def reality_residual(self) -> float:
         return morse_reality_residual(self)
@@ -374,49 +370,34 @@ class AlgebraicSolution:
         return complex(self.m_re, self.m_im)
 
 
-def coupling_regime(v1: float, v2: float) -> tuple[str, float, float]:
-    """Classify |v2| against the critical coupling v1 + 1/4.
-
-    Returns (regime, sq_plus, sq_minus) with sq_plus = sqrt(v1 + 1/4 + |v2|)
-    and sq_minus = sqrt(max(v1 + 1/4 - |v2|, 0)) below the threshold or
-    sqrt(|v2| - v1 - 1/4) above it; regime is "real", "threshold" or
-    "complex".  The threshold band has relative width REG_TOL so that a
-    sweep sample landing on v1 + 1/4 is treated as the exact merge point.
-    """
-    s = v1 + 0.25
-    a = abs(v2)
-    diff = a - s
-    if abs(diff) <= REG_TOL * max(1.0, a, s):
-        return "threshold", math.sqrt(s + a), 0.0
-    if diff < 0:
-        return "real", math.sqrt(s + a), math.sqrt(-diff)
-    return "complex", math.sqrt(s + a), math.sqrt(diff)
-
-
 def _scarf_pt_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
     """Branch rows of the Scarf II matching system, shared by Poschl-Teller.
 
-    Both families share m; b is the Scarf II amplitude, which Poschl-Teller
+    With sq_p = sqrt(v1 + 1/4 + |v2|), the principal root
+    r = sqrt(v1 + 1/4 - |v2|) and nu = sign(v2), the branches eps = +-1 are
+
+        m = (sq_p + eps * r) / 2,    b = i * nu * (sq_p - eps * r) / 2.
+
+    r is real below the critical coupling |v2| = v1 + 1/4, where both
+    branches are real series, and imaginary above it, where they are a
+    complex-conjugate pair: the transition is the branch point of r.  Within
+    a relative band REG_TOL of the critical coupling r is 0, so that a sweep
+    sample landing there is the exact merge point, and the two coinciding
+    branches are kept once.  A branch is kept only if m_re > 1/2.  Both
+    families share m; b is the Scarf II amplitude, which Poschl-Teller
     multiplies by -i.
     """
-    regime, sq_p, sq_m = coupling_regime(spec.v1, spec.v2)
+    s, a = spec.v1 + 0.25, abs(spec.v2)
+    diff = spec.threshold_distance()
+    r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
+    sq_p = math.sqrt(s + a)
     nu = 1.0 if spec.v2 > 0 else -1.0
-    if regime == "complex":
-        kind = BranchKind.COMPLEX_PAIR_MEMBER
-        rows = [
-            (eps, kind, 0.5 * sq_p, 0.5 * eps * sq_m,
-             complex(0.5 * nu * eps * sq_m, 0.5 * nu * sq_p))
-            for eps in (1, -1)
-        ]
-    else:
-        kind = BranchKind.REAL_SERIES
-        # At the exact threshold the eps = +-1 series coincide; keep one.
-        rows = [
-            (eps, kind, 0.5 * (sq_p + eps * sq_m), 0.0,
-             complex(0.0, 0.5 * nu * (sq_p - eps * sq_m)))
-            for eps in ((1,) if regime == "threshold" else (1, -1))
-        ]
-    out = [row for row in rows if _strictly_above(row[2], 0.5)]
+    kind = BranchKind.COMPLEX_PAIR_MEMBER if r.imag else BranchKind.REAL_SERIES
+    out = []
+    for eps in ((1, -1) if r else (1,)):
+        m = 0.5 * (sq_p + eps * r)
+        if _strictly_above(m.real, 0.5):
+            out.append((eps, kind, m.real, m.imag, 0.5j * nu * (sq_p - eps * r)))
     if not out:
         raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {spec}")
     return out

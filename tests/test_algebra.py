@@ -200,6 +200,23 @@ class TestGroundState:
             _detect_branch_cut(np.array([1.0, 0.0, 1.0], dtype=complex), "synthetic")
 
 
+class TestRaisePaths:
+    def test_grid_function_lengths_differ(self):
+        with pytest.raises(InvalidSpec, match="xs and values must be 1-d arrays of equal length"):
+            GridFunction(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]))
+
+    def test_ground_state_reference_underflows(self):
+        # class III at x = 0 is exp(-b), and exp(-1000) is 0
+        r = r_class(PotentialClass.III_UPPER, b=1000 + 0j)
+        with pytest.raises(InvalidSpec, match=r"reference value at x=0\.0 is -0j"):
+            ground_state(r, 1.5, np.linspace(-1.0, 1.0, 21))
+
+    def test_tower_state_negative_n(self):
+        r = r_class(PotentialClass.I, b=1j)
+        with pytest.raises(InvalidSpec, match="n must be non-negative"):
+            tower_state(r, 3.0, -1, np.linspace(-5.0, 5.0, 101))
+
+
 class TestLadder:
     def test_linearity_zero(self):
         r = r_class(PotentialClass.I, b=1j)

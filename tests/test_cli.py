@@ -385,6 +385,8 @@ class TestWavefunction:
 SCARF = ["--family", "scarf2", "--v1", "9.75", "--v2", "6"]
 MORSE = ["--family", "morse", "--v1r", "1", "--v1i", "1", "--v2r", "1", "--v2i", "1"]
 PROFILE_HEADER = "x,re_psi,im_psi\r\n"
+# psi = 1 on a uniform grid one row longer than the largest `wavefunction` profile
+OVER_CAP_ROWS = [f"{k / 10000!r},1,0\r\n" for k in range(MAX_PROFILE_POINTS + 1)]
 PROFILES = {
     "no_im.csv": "x,re_psi\r\n0,1\r\n",
     "no_rows.csv": PROFILE_HEADER,
@@ -400,6 +402,7 @@ PROFILES = {
                                         for k in range(32)),
     "inf.csv": PROFILE_HEADER + "".join(f"{0.05 * k:.2f},1,{'inf' if k == 7 else 0}\r\n"
                                         for k in range(32)),
+    "over_cap.csv": PROFILE_HEADER + "".join(OVER_CAP_ROWS),
 }
 BAD_INPUTS = {
     "v2-nan": ["analyze", "--family", "scarf2", "--v1", "9.75", "--v2", "nan"],
@@ -425,6 +428,7 @@ BAD_INPUTS = {
     "verify-file-x-decreasing": ["verify", *SCARF, "--from-file", "{tmp}/x_decreasing.csv"],
     "verify-file-x-repeated": ["verify", *SCARF, "--from-file", "{tmp}/x_repeated.csv"],
     "verify-file-x-nonuniform": ["verify", *SCARF, "--from-file", "{tmp}/x_nonuniform.csv"],
+    "verify-file-over-profile-cap": ["verify", *SCARF, "--from-file", "{tmp}/over_cap.csv"],
     "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
     "scan-stop-inf": ["scan", *SCARF, "--start", "0.1", "--stop", "inf", "--step", "0.5"],
     "scan-huge-range": ["scan", *SCARF, "--start", "0", "--stop", "1e9", "--step", "1e-9"],
@@ -525,6 +529,14 @@ def test_bad_input_exit_2(tmp_path, argv):
         (tmp_path / name).write_text(text, newline="")
     assert_rejected([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(PROFILES)
+
+
+def test_profile_at_the_cap_is_read(tmp_path):
+    # one row fewer than over_cap.csv is read and verified: psi = 1 is no eigenfunction
+    path = tmp_path / "at_cap.csv"
+    path.write_text(PROFILE_HEADER + "".join(OVER_CAP_ROWS[:-1]), newline="")
+    code, out = run_contract(["verify", *SCARF, "--from-file", str(path)], {EXIT_UNMATCHED})
+    assert out.splitlines()[1].endswith(",false")
 
 
 def test_projected_eigensolve_failure_exits_5(capsys, monkeypatch):

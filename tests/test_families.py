@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sl2spectra import (
     BranchKind,
@@ -19,6 +21,8 @@ from sl2spectra import (
 )
 from sl2spectra.families import morse_reality_residual
 from sl2spectra.spectrum import enumerate_levels
+
+from branch_reference import morse_rows, poschl_teller_rows, scarf_rows
 
 
 def by_epsilon(solutions):
@@ -282,3 +286,79 @@ class TestProperties:
                 cls = sol.realization.potential_class
                 if cls is PotentialClass.III_UPPER:
                     assert sol.realization.b_re > 0
+
+
+def log_uniform(lo, hi):
+    """+-10**e with e uniform in [lo, hi]."""
+    return st.builds(lambda e, sign: sign * 10.0**e, st.floats(lo, hi), st.sampled_from([1.0, -1.0]))
+
+
+# Ordinary couplings, magnitudes log-uniform from 1e-300 to 1e300 of either
+# sign, and signed zeros.
+COUPLINGS = st.floats(-30.0, 30.0) | log_uniform(-300.0, 300.0) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def scarf_pt_couplings(draw, v1_min):
+    """(v1, v2) with v2 anywhere, within 1e-11 relative of +-(v1 + 1/4), or exactly on it.
+
+    The relative offsets near the critical coupling are log-uniform from 1e-17
+    to 1e-11, across the edge of the REG_TOL band.
+    """
+    v1 = draw(st.floats(v1_min, 30.0, exclude_min=v1_min < 0) | COUPLINGS.map(abs))
+    s = v1 + 0.25
+    v2 = draw(COUPLINGS | log_uniform(-17.0, -11.0).map(lambda d: s * (1.0 + d)) | st.just(s))
+    return v1, v2 * draw(st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def morse_couplings(draw):
+    """(v1r, v1i, v2r, v2i), with v1r < 0 and a tiny v1i half the time (b_re near 0)."""
+    v1r, v1i, v2r, v2i = (draw(COUPLINGS) for _ in range(4))
+    if draw(st.booleans()):
+        v1r, v1i = -abs(v1r), v1i * 10.0 ** draw(st.floats(-30.0, -5.0))
+    return v1r, v1i, v2r, v2i
+
+
+def row_bits(rows_of, spec):
+    """Every field of the branch rows by float.hex, or the NoRegularBranch message."""
+    try:
+        rows = rows_of(spec)
+    except NoRegularBranch as exc:
+        return str(exc)
+    return [(eps, kind, m_re.hex(), m_im.hex(), b.real.hex(), b.imag.hex())
+            for eps, kind, m_re, m_im, b in rows]
+
+
+def spec_or_reject(cls, couplings):
+    try:
+        return cls(*couplings)
+    except InvalidSpec:
+        assume(False)
+
+
+class TestOneRoot:
+    """The branch rows from one complex root equal the two-regime and
+    real-arithmetic reference rows (`tests/branch_reference.py`) bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(scarf_pt_couplings(v1_min=0.0))
+    @example((1.0, 1.25)).via("threshold")
+    @example((1.0, 1.25 * (1.0 + 1.1e-12))).via("just outside the REG_TOL band")
+    @example((1e308, 1e308)).via("v1 + 1/4 + |v2| overflows")
+    def test_scarf_rows(self, couplings):
+        spec = spec_or_reject(ScarfSpec, couplings)
+        assert row_bits(ScarfSpec.branch_rows, spec) == row_bits(scarf_rows, spec)
+
+    @settings(max_examples=120, deadline=None)
+    @given(scarf_pt_couplings(v1_min=-0.25))
+    def test_poschl_teller_rows(self, couplings):
+        spec = spec_or_reject(PoschlTellerSpec, couplings)
+        assert row_bits(PoschlTellerSpec.branch_rows, spec) == row_bits(poschl_teller_rows, spec)
+
+    @settings(max_examples=120, deadline=None)
+    @given(morse_couplings())
+    @example((1.0, -1.0, -0.0, 0.0)).via("m_re = -0.0")
+    def test_morse_rows(self, couplings):
+        spec = spec_or_reject(MorseSpec, couplings)
+        assert row_bits(MorseSpec.branch_rows, spec) == row_bits(morse_rows, spec)

@@ -34,7 +34,11 @@ from sl2spectra.oracle import (
     DEFAULT_MATCH_TOL,
     DENSE_CAP,
     Eigendata,
+    Ellipse,
     _dense_form,
+    _filtered_probes,
+    _inverse_steps,
+    _polish,
     _pt_symmetric,
     banded_form,
     banded_matvec,
@@ -576,6 +580,36 @@ class TestResidual:
     def test_boundary_decay_zero_vector(self):
         with pytest.raises(NoConvergence, match="eigenvector is identically zero"):
             boundary_decay(np.zeros(100, dtype=complex))
+
+
+class TestSolverRaisePaths:
+    def test_dense_eigensolve_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", fail)
+        with pytest.raises(NoConvergence,
+                           match="dense eigenvalue iteration failed: synthetic failure"):
+            eigvals_complex(np.eye(4, dtype=complex))
+
+    def test_contour_node_on_an_eigenvalue(self):
+        # H = z0 * I with z0 the first node of gamma: z0 - H is exactly singular
+        gamma = Ellipse(0.0, 1.0, 1.0)
+        z0 = gamma.node(0)[0]
+        ab = np.zeros((5, 40), dtype=complex)
+        ab[2] = z0
+        probes = np.ones((40, 2), dtype=np.float32)
+        with pytest.raises(NoConvergence, match=r"contour node .* is an eigenvalue of H"):
+            _filtered_probes(ab, gamma, probes, real=False)
+
+    def test_polish_at_a_singular_shift(self):
+        # H = I and lam = 1: lam - H is exactly singular, so no inverse step
+        # runs and lam comes back as it went in (the quotient is a new object)
+        ab = np.zeros((5, 40), dtype=complex)
+        ab[2] = 1.0
+        lam = 1.0 + 0j
+        assert _inverse_steps(ab, lam, np.ones(40, dtype=complex), 2) is None
+        assert _polish(ab, lam, np.ones(40)) is lam
 
 
 class TestPipeline:
