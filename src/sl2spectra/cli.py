@@ -9,34 +9,16 @@ newline; `report_document` writes that text in one pass, formatting each
 number once.
 
 Exit codes, one SpectraError subclass each (main catches SpectraError alone):
-0 success; 2 InvalidSpec, invalid input (a bad or non-finite coupling, or one
-above families.MAX_COUPLING in magnitude, which 15 digits would round to inf;
-Morse couplings that overflow the matching equations, missing family flags,
-an empty, non-finite or oversized (spectrum.MAX_SWEEP_SAMPLES) sweep range or
-a family without a sweep parameter, no level (epsilon, n), more closed-form
-levels than spectrum.MAX_LEVEL_COUNT, a grid with a non-finite end or fewer
-than 16 points (--n-points 0 included), a grid too coarse for the requested
-profile, a verify grid of more than oracle.DENSE_CAP interior points or whose
-spacing h has an h^2 or 1/h^4 that overflows or is below the smallest normal
-double (a box as wide as +-1e80 at 100 points) or on which the potential is
-not finite (a Morse box reaching x = -800), a verify operator whose
-Frobenius norm overflows, a profile of more than MAX_PROFILE_POINTS points or
-one that is not finite on its grid, a non-finite or non-positive --tol, a
---from-file that is unreadable, lacks a column, holds a non-finite value, is
-zero everywhere, has fewer than 16 rows or more than MAX_PROFILE_POINTS (read
-no further), or an x column that is not strictly increasing and uniform, or an
---output that cannot be written);
-3 NoRegularBranch, no regular branch (analyze still emits an empty-spectrum
-document, the other commands print nothing); 4 verification mismatch;
-5 NoConvergence, eigensolver failure (the contour method's projected
-eigensolve included).
+0 success; 2 InvalidSpec, invalid input; 3 NoRegularBranch, no regular branch
+(analyze still emits an empty-spectrum document, the other commands print
+nothing); 4 verification mismatch; 5 NoConvergence, eigensolver failure.
+README.md lists the inputs that end in each code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -86,23 +68,30 @@ class RunConfig:
 
 def _spec_from_args(args) -> families.FamilySpec:
     cls = families.FAMILIES[args.family]
-    _need(args, *(f.name for f in fields(cls) if f.default is MISSING))
-    given = {f.name: getattr(args, f.name) for f in fields(cls)}
+    names = [f.name for f in fields(cls)]
+    foreign = dict.fromkeys(f.name for other in families.FAMILIES.values() for f in fields(other)
+                            if f.name not in names and getattr(args, f.name) is not None)
+    if foreign:
+        raise InvalidSpec(f"family {args.family!r} does not take {_flags(foreign)}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and getattr(args, f.name) is None]
+    if missing:
+        raise InvalidSpec(f"family {args.family!r} requires {_flags(missing)}")
+    given = {name: getattr(args, name) for name in names}
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _need(args, *names):
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise InvalidSpec(f"family {args.family!r} requires {flags}")
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def _grid_from_args(args, spec) -> oracle.Grid:
-    base = oracle.default_grid(spec, args.n_points)
-    x_min = args.x_min if args.x_min is not None else base.x_min
-    x_max = args.x_max if args.x_max is not None else base.x_max
-    return oracle.Grid(x_min, x_max, base.n_points)
+    x_min, x_max = spec.box
+    return oracle.Grid(
+        x_min if args.x_min is None else args.x_min,
+        x_max if args.x_max is None else args.x_max,
+        oracle.DEFAULT_GRID_N if args.n_points is None else args.n_points,
+    )
 
 
 def report_document(report: spectrum.SpectrumReport) -> str:
@@ -205,11 +194,8 @@ def _emit(text: str, output: str | None):
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """RFC 4180 text with CRLF row ends; no field written here needs quoting."""
+    return "".join(",".join(row) + "\r\n" for row in [header, *rows])
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -324,49 +310,42 @@ def cmd_wavefunction(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the four subcommands; each parses to its runner in `run`."""
     parser = argparse.ArgumentParser(
         prog="sl2spectra",
         description="Closed-form spectra of complexified solvable potentials, "
         "with an independent finite-difference verification oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    couplings = dict.fromkeys(f.name for cls in families.FAMILIES.values() for f in fields(cls))
 
-    def add_family_args(p):
+    def command(name, run, summary, level=False):
+        """A subcommand running run, with --family, every coupling and --output;
+        a level command also takes the grid flags, --epsilon and --n."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--family", required=True, choices=list(families.FAMILIES))
-        couplings = (f.name for cls in families.FAMILIES.values() for f in fields(cls))
-        for name in dict.fromkeys(couplings):
-            p.add_argument("--" + name.replace("_", "-"), type=float, dest=name)
-        p.add_argument("--output", type=str, default=None)
+        for coupling in couplings:
+            p.add_argument("--" + coupling.replace("_", "-"), type=float, dest=coupling)
+        p.add_argument("--output")
+        if level:
+            p.add_argument("--x-min", type=float)
+            p.add_argument("--x-max", type=float)
+            p.add_argument("--n-points", type=int)
+            p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
+            p.add_argument("--n", type=int, default=0)
+        return p
 
-    def add_grid_args(p):
-        p.add_argument("--x-min", type=float, default=None)
-        p.add_argument("--x-max", type=float, default=None)
-        p.add_argument("--n-points", type=int, default=None)
-
-    p_analyze = sub.add_parser("analyze", help="closed-form spectrum report (JSON)")
-    add_family_args(p_analyze)
-
-    p_scan = sub.add_parser("scan", help="sweep a coupling and log the phase (CSV)")
-    add_family_args(p_scan)
-    p_scan.add_argument("--start", type=float, required=True)
-    p_scan.add_argument("--stop", type=float, required=True)
-    p_scan.add_argument("--step", type=float, required=True)
-
-    p_verify = sub.add_parser("verify", help="match closed forms against the grid oracle (CSV)")
-    add_family_args(p_verify)
-    add_grid_args(p_verify)
-    p_verify.add_argument("--tol", type=float, default=oracle.DEFAULT_MATCH_TOL)
-    p_verify.add_argument("--from-file", type=str, default=None, dest="from_file",
-                          help="re-ingest an exported wavefunction and check its residual")
-    p_verify.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
-    p_verify.add_argument("--n", type=int, default=0)
-
-    p_wave = sub.add_parser("wavefunction", help="export one bound profile (CSV)")
-    add_family_args(p_wave)
-    add_grid_args(p_wave)
-    p_wave.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
-    p_wave.add_argument("--n", type=int, default=0)
-
+    command("analyze", cmd_analyze, "closed-form spectrum report (JSON)")
+    scan = command("scan", cmd_scan, "sweep a coupling and log the phase (CSV)")
+    for flag in ("--start", "--stop", "--step"):
+        scan.add_argument(flag, type=float, required=True)
+    verify = command("verify", cmd_verify, "match closed forms against the grid oracle (CSV)",
+                     level=True)
+    verify.add_argument("--tol", type=float)
+    verify.add_argument("--from-file",
+                        help="re-ingest an exported wavefunction and check its residual")
+    command("wavefunction", cmd_wavefunction, "export one bound profile (CSV)", level=True)
     return parser
 
 
@@ -375,37 +354,36 @@ def config_from_args(args) -> RunConfig:
     if args.command == "scan" and swept and getattr(args, swept) is None:
         # the swept parameter may be omitted; seed the base spec from --start
         setattr(args, swept, args.start)
-    spec = _spec_from_args(args)
-    config = RunConfig(command=args.command, spec=spec, output=args.output)
-    if args.command in ("verify", "wavefunction"):
-        config.grid = _grid_from_args(args, spec)
-        config.epsilon = args.epsilon
-        config.n = args.n
-    if args.command == "verify":
+    config = RunConfig(command=args.command, spec=_spec_from_args(args), output=args.output)
+    if args.command == "scan":
+        config.sweep = (args.start, args.stop, args.step)
+    if args.command not in ("verify", "wavefunction"):
+        return config
+    config.epsilon = args.epsilon
+    config.n = args.n
+    if args.command == "verify" and args.from_file:
+        unread = [name for name in ("x_min", "x_max", "n_points", "tol")
+                  if getattr(args, name) is not None]
+        if unread:
+            raise InvalidSpec(f"verify --from-file does not read {_flags(unread)}")
+        config.from_file = args.from_file
+        return config
+    config.grid = _grid_from_args(args, config.spec)
+    if args.command == "verify" and args.tol is not None:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise InvalidSpec(f"--tol must be finite and positive, got {args.tol}")
         config.tol = args.tol
-        config.from_file = args.from_file
-    if args.command == "scan":
-        config.sweep = (args.start, args.stop, args.step)
     return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    dispatch = {
-        "analyze": cmd_analyze,
-        "scan": cmd_scan,
-        "verify": cmd_verify,
-        "wavefunction": cmd_wavefunction,
-    }
+    # built per call, so each command runs the cmd_* function the module holds now
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return dispatch[args.command](config)
+        return args.run(config_from_args(args))
     except SpectraError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CODES.get(type(exc), EXIT_INVALID)
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -390,7 +390,7 @@ def _scarf_pt_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
     s, a = spec.v1 + 0.25, abs(spec.v2)
     diff = spec.threshold_distance()
     r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
-    sq_p = math.sqrt(s + a)
+    sq_p = 2.0 * math.sqrt(0.25 * s + 0.25 * a)  # sqrt(s + a), also where s + a overflows
     nu = 1.0 if spec.v2 > 0 else -1.0
     kind = BranchKind.COMPLEX_PAIR_MEMBER if r.imag else BranchKind.REAL_SERIES
     out = []

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, document shapes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from sl2spectra import InvalidSpec, PotentialClass, families, oracle, spectrum
+from sl2spectra import InvalidSpec, PotentialClass, cli, families, oracle, spectrum
 from sl2spectra.cli import (
     EXIT_INVALID,
     EXIT_NO_BRANCH,
@@ -233,6 +234,21 @@ class TestScan:
              "--start", "0.5", "--stop", "0.6", "--step", "0.1"],
         )
         assert "\r\n" in out
+
+
+@pytest.mark.parametrize("family, v2", [("scarf2", "1e308"), ("poschl-teller", "-1e308")])
+def test_overflowing_couplings_keep_their_branch(capsys, family, v2):
+    # v1 + 1/4 + |v2| overflows: the branch stays regular, with far more
+    # levels than spectrum.MAX_LEVEL_COUNT
+    spec = families.FAMILIES[family](1e308, float(v2))
+    rows = spec.branch_rows()
+    assert rows and all(math.isfinite(abs(complex(m_re, m_im)) + abs(b))
+                        for _, _, m_re, m_im, b in rows)
+    base = ["--family", family, "--v1", "1e308", f"--v2={v2}"]
+    for argv in (["analyze", *base], ["scan", *base, f"--start={v2}", f"--stop={v2}", "--step=1"]):
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr() == (
+            "", "error: 7.07107e+153 closed-form levels exceed the cap of 10000\n")
 
 
 class TestVerify:
@@ -485,6 +501,11 @@ BAD_INPUTS = {
     "verify-morse-ab-norm-overflow": ["verify", "--family", "morse-ab", "--A", "1", "--B", "1",
                                       "--gamma-p", "3", "--delta-p", "5", "--x-min=-200",
                                       "--n-points", "400"],
+    # flags the call would not read
+    "coupling-of-another-family": ["analyze", "--family", "scarf2", "--v1", "1", "--v2", "2",
+                                   "--A", "5"],
+    "from-file-with-n-points": ["verify", *SCARF, "--from-file", "{tmp}/missing.csv",
+                                "--n-points", "3"],
 }
 
 
@@ -529,6 +550,42 @@ def test_bad_input_exit_2(tmp_path, argv):
         (tmp_path / name).write_text(text, newline="")
     assert_rejected([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(PROFILES)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (BAD_INPUTS["coupling-of-another-family"], "family 'scarf2' does not take --A"),
+    (["verify", *SCARF, "--from-file", "missing.csv", "--x-min=-3", "--tol", "1"],
+     "verify --from-file does not read --x-min, --tol"),
+])
+def test_unread_flag_is_named(capsys, argv, message):
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_command_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"-h", "--help", "--family", "--output", "--v1", "--v2", "--c", "--contour-gamma",
+              "--v1r", "--v1i", "--v2r", "--v2i", "--A", "--B", "--gamma-p", "--delta-p"}
+    level = {"--x-min", "--x-max", "--n-points", "--epsilon", "--n"}
+    assert {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()} == {
+        "analyze": common,
+        "scan": common | {"--start", "--stop", "--step"},
+        "verify": common | level | {"--tol", "--from-file"},
+        "wavefunction": common | level,
+    }
+
+
+def test_main_runs_the_runner_the_module_holds(monkeypatch):
+    # a wrapper installed on the module after import, as a tracer installs
+    # one, is what main runs
+    seen = []
+    for name, code in (("cmd_scan", 41), ("cmd_verify", 42)):
+        monkeypatch.setattr(cli, name, lambda config, code=code: seen.append(config) or code)
+    assert main(["scan", *SCARF, "--start", "0", "--stop", "1", "--step", "0.5"]) == 41
+    assert main(["verify", *SCARF, "--n-points", "100"]) == 42
+    assert [c.command for c in seen] == ["scan", "verify"]
+    assert seen[0].sweep == (0.0, 1.0, 0.5) and seen[1].grid == oracle.Grid(-20.0, 20.0, 100)
 
 
 def test_profile_at_the_cap_is_read(tmp_path):
