@@ -13,6 +13,11 @@ Exit codes, one SpectraError subclass each (main catches SpectraError alone):
 (analyze still emits an empty-spectrum document, the other commands print
 nothing); 4 verification mismatch; 5 NoConvergence, eigensolver failure.
 README.md lists the inputs that end in each code.
+
+Every call reads --family, that family's couplings and --output.  `scan` also
+reads --start/--stop/--step, and its swept coupling is --start; `wavefunction`
+reads the grid flags, --epsilon and --n; `verify` the grid flags and --tol, or
+with --from-file, --epsilon and --n.  Any other flag given exits 2, naming each.
 """
 
 from __future__ import annotations
@@ -66,32 +71,8 @@ class RunConfig:
     output: str | None = None
 
 
-def _spec_from_args(args) -> families.FamilySpec:
-    cls = families.FAMILIES[args.family]
-    names = [f.name for f in fields(cls)]
-    foreign = dict.fromkeys(f.name for other in families.FAMILIES.values() for f in fields(other)
-                            if f.name not in names and getattr(args, f.name) is not None)
-    if foreign:
-        raise InvalidSpec(f"family {args.family!r} does not take {_flags(foreign)}")
-    missing = [f.name for f in fields(cls)
-               if f.default is MISSING and getattr(args, f.name) is None]
-    if missing:
-        raise InvalidSpec(f"family {args.family!r} requires {_flags(missing)}")
-    given = {name: getattr(args, name) for name in names}
-    return cls(**{name: value for name, value in given.items() if value is not None})
-
-
 def _flags(names) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
-
-
-def _grid_from_args(args, spec) -> oracle.Grid:
-    x_min, x_max = spec.box
-    return oracle.Grid(
-        x_min if args.x_min is None else args.x_min,
-        x_max if args.x_max is None else args.x_max,
-        oracle.DEFAULT_GRID_N if args.n_points is None else args.n_points,
-    )
 
 
 def report_document(report: spectrum.SpectrumReport) -> str:
@@ -183,7 +164,7 @@ def _num_or_null(x: float | None) -> str:
 
 
 def _emit(text: str, output: str | None):
-    if not output:
+    if output is None:
         sys.stdout.write(text)
         return
     try:
@@ -224,7 +205,7 @@ def cmd_scan(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.from_file:
+    if config.from_file is not None:
         return _verify_from_file(config)
     report = oracle.verify_spectrum(config.spec, grid=config.grid, tol=config.tol)
     table = [
@@ -298,10 +279,10 @@ def _verify_from_file(config: RunConfig) -> int:
 
 def cmd_wavefunction(config: RunConfig) -> int:
     sol, _ = _level_for(config.spec, config.epsilon, config.n)
-    grid = config.grid or oracle.default_grid(config.spec)
-    if grid.n_points > MAX_PROFILE_POINTS:
-        raise InvalidSpec(f"profile capped at {MAX_PROFILE_POINTS} points, got {grid.n_points}")
-    psi = tower_state(sol.realization, sol.m, config.n, grid.points)
+    if config.grid.n_points > MAX_PROFILE_POINTS:
+        raise InvalidSpec(
+            f"profile capped at {MAX_PROFILE_POINTS} points, got {config.grid.n_points}")
+    psi = tower_state(sol.realization, sol.m, config.n, config.grid.points)
     table = [
         [_fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(psi.xs, psi.values)
     ]
@@ -332,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--x-min", type=float)
             p.add_argument("--x-max", type=float)
             p.add_argument("--n-points", type=int)
-            p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
-            p.add_argument("--n", type=int, default=0)
+            p.add_argument("--epsilon", type=int, choices=[1, -1])
+            p.add_argument("--n", type=int)
         return p
 
     command("analyze", cmd_analyze, "closed-form spectrum report (JSON)")
@@ -350,26 +331,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    swept = families.FAMILIES[args.family].sweep_field
-    if args.command == "scan" and swept and getattr(args, swept) is None:
-        # the swept parameter may be omitted; seed the base spec from --start
-        setattr(args, swept, args.start)
-    config = RunConfig(command=args.command, spec=_spec_from_args(args), output=args.output)
+    """The validated configuration of one call, read from the flags the module docstring lists."""
+    cls = families.FAMILIES[args.family]
+    given = {name: value for name, value in vars(args).items()
+             if value is not None and name not in ("command", "run", "family")}
+    call = f"{args.command} --family {args.family}"
+    read = {"analyze": (), "scan": ("start", "stop", "step"),
+            "wavefunction": ("x_min", "x_max", "n_points", "epsilon", "n"),
+            "verify": ("x_min", "x_max", "n_points", "tol")}[args.command]
+    if "from_file" in given:
+        call, read = "verify --from-file", ("from_file", "epsilon", "n")
+    couplings = [f.name for f in fields(cls)]
+    swept = cls.sweep_field if args.command == "scan" else None
+    unread = [name for name in given
+              if name == swept or name not in ("output", *couplings, *read)]
+    if unread:
+        raise InvalidSpec(f"{call} does not read {_flags(unread)}")
+    if swept:
+        given[swept] = args.start
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in given]
+    if missing:
+        raise InvalidSpec(f"family {args.family!r} requires {_flags(missing)}")
+    config = RunConfig(
+        command=args.command,
+        spec=cls(**{name: given[name] for name in couplings if name in given}),
+        **{name: given[name] for name in ("epsilon", "n", "from_file", "output") if name in given},
+    )
     if args.command == "scan":
         config.sweep = (args.start, args.stop, args.step)
-    if args.command not in ("verify", "wavefunction"):
-        return config
-    config.epsilon = args.epsilon
-    config.n = args.n
-    if args.command == "verify" and args.from_file:
-        unread = [name for name in ("x_min", "x_max", "n_points", "tol")
-                  if getattr(args, name) is not None]
-        if unread:
-            raise InvalidSpec(f"verify --from-file does not read {_flags(unread)}")
-        config.from_file = args.from_file
-        return config
-    config.grid = _grid_from_args(args, config.spec)
-    if args.command == "verify" and args.tol is not None:
+    if "n_points" in read:  # wavefunction, and verify without --from-file
+        x_min, x_max = config.spec.box
+        config.grid = oracle.Grid(given.get("x_min", x_min), given.get("x_max", x_max),
+                                  given.get("n_points", oracle.DEFAULT_GRID_N))
+    if "tol" in given:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise InvalidSpec(f"--tol must be finite and positive, got {args.tol}")
         config.tol = args.tol

@@ -29,8 +29,8 @@ from sl2spectra.cli import (
     EXIT_UNMATCHED,
     MAX_PROFILE_POINTS,
     _num,
-    _spec_from_args,
     build_parser,
+    config_from_args,
     main,
     report_document,
 )
@@ -207,8 +207,7 @@ class TestScan:
     def test_morse_delta_sweep(self, capsys):
         code, out = run_cli(
             capsys,
-            ["scan", "--family", "morse-ab", "--A", "1", "--B", "1",
-             "--gamma-p", "3", "--delta-p", "2",
+            ["scan", "--family", "morse-ab", "--A", "1", "--B", "1", "--gamma-p", "3",
              "--start", "2", "--stop", "4", "--step", "0.5"],
         )
         assert code == 0
@@ -244,8 +243,9 @@ def test_overflowing_couplings_keep_their_branch(capsys, family, v2):
     rows = spec.branch_rows()
     assert rows and all(math.isfinite(abs(complex(m_re, m_im)) + abs(b))
                         for _, _, m_re, m_im, b in rows)
-    base = ["--family", family, "--v1", "1e308", f"--v2={v2}"]
-    for argv in (["analyze", *base], ["scan", *base, f"--start={v2}", f"--stop={v2}", "--step=1"]):
+    base = ["--family", family, "--v1", "1e308"]
+    for argv in (["analyze", *base, f"--v2={v2}"],
+                 ["scan", *base, f"--start={v2}", f"--stop={v2}", "--step=1"]):
         assert main(argv) == EXIT_INVALID
         assert capsys.readouterr() == (
             "", "error: 7.07107e+153 closed-form levels exceed the cap of 10000\n")
@@ -265,6 +265,17 @@ class TestVerify:
         assert len(rows) == 4
         assert all(row[5] == "true" for row in rows)
         assert all(float(row[4]) < 1e-3 for row in rows)
+
+    def test_tol_reaches_the_matching(self, capsys):
+        # the box above, matched at 1e-5: the two E = -0.25 rows miss by ~2.3e-4
+        code, out = run_cli(
+            capsys,
+            ["verify", "--family", "scarf2", "--v1", "9.75", "--v2", "6",
+             "--x-min", "-18", "--x-max", "18", "--n-points", "1000", "--tol", "1e-5"],
+        )
+        assert code == EXIT_UNMATCHED
+        _, rows = parse_csv(out)
+        assert [row[5] for row in rows] == ["true", "true", "false", "false"]
 
     def test_under_resolved_grid_exit_4(self, capsys):
         code, out = run_cli(
@@ -446,8 +457,10 @@ BAD_INPUTS = {
     "verify-file-x-nonuniform": ["verify", *SCARF, "--from-file", "{tmp}/x_nonuniform.csv"],
     "verify-file-over-profile-cap": ["verify", *SCARF, "--from-file", "{tmp}/over_cap.csv"],
     "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
-    "scan-stop-inf": ["scan", *SCARF, "--start", "0.1", "--stop", "inf", "--step", "0.5"],
-    "scan-huge-range": ["scan", *SCARF, "--start", "0", "--stop", "1e9", "--step", "1e-9"],
+    # scan takes v2 from --start, and Scarf II requires v2 != 0
+    "scan-stop-inf": ["scan", *SCARF[:-2], "--start", "0.1", "--stop", "inf", "--step", "0.5"],
+    "scan-huge-range": ["scan", *SCARF[:-2], "--start", "0.1", "--stop", "1e9",
+                        "--step", "1e-9"],
     "morse-ab-A-1e200": ["analyze", "--family", "morse-ab", "--A", "1e200", "--B", "1",
                          "--gamma-p", "3", "--delta-p", "3"],
     "morse-v1-1e308": ["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
@@ -484,6 +497,7 @@ BAD_INPUTS = {
                                       "--output", "{tmp}/f.csv"],
     "output-in-missing-dir": ["analyze", *SCARF, "--output", "{tmp}/missing/out.json"],
     "output-is-a-dir": ["wavefunction", *SCARF, "--output", "{tmp}"],
+    "output-empty-path": ["analyze", *SCARF, "--output", ""],
     # profiles that are not finite on their grid: the 150th ladder step
     # overflows, a gPT power overflows, sech and sinh overflow at the far points
     "wavefunction-ladder-overflow": ["wavefunction", "--family", "scarf2", "--v1", "1e5",
@@ -506,6 +520,8 @@ BAD_INPUTS = {
                                    "--A", "5"],
     "from-file-with-n-points": ["verify", *SCARF, "--from-file", "{tmp}/missing.csv",
                                 "--n-points", "3"],
+    # an empty path is a given --from-file, not plain verify on the default grid
+    "from-file-empty-path": ["verify", *SCARF, "--from-file", ""],
 }
 
 
@@ -553,9 +569,19 @@ def test_bad_input_exit_2(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (BAD_INPUTS["coupling-of-another-family"], "family 'scarf2' does not take --A"),
+    (BAD_INPUTS["coupling-of-another-family"], "analyze --family scarf2 does not read --A"),
     (["verify", *SCARF, "--from-file", "missing.csv", "--x-min=-3", "--tol", "1"],
      "verify --from-file does not read --x-min, --tol"),
+    # no level (epsilon=-1, n=7) exists: plain verify never picks a level
+    (["verify", *SCARF, "--n-points", "100", "--epsilon", "-1", "--n", "7"],
+     "verify --family scarf2 does not read --epsilon, --n"),
+    # scan takes its swept coupling from --start, so a given one is never read
+    *[(["scan", "--family", "scarf2", "--v1", "1", "--v2", v2,
+        "--start", "0.1", "--stop", "1", "--step", "0.5"],
+       "scan --family scarf2 does not read --v2") for v2 in ("nan", "5")],
+    (["scan", "--family", "morse-ab", "--A", "1", "--B", "1", "--gamma-p", "3", "--delta-p", "2",
+      "--start", "2", "--stop", "4", "--step", "0.5"],
+     "scan --family morse-ab does not read --delta-p"),
 ])
 def test_unread_flag_is_named(capsys, argv, message):
     assert main(argv) == EXIT_INVALID
@@ -582,10 +608,10 @@ def test_main_runs_the_runner_the_module_holds(monkeypatch):
     seen = []
     for name, code in (("cmd_scan", 41), ("cmd_verify", 42)):
         monkeypatch.setattr(cli, name, lambda config, code=code: seen.append(config) or code)
-    assert main(["scan", *SCARF, "--start", "0", "--stop", "1", "--step", "0.5"]) == 41
+    assert main(["scan", *SCARF[:-2], "--start", "0.5", "--stop", "1", "--step", "0.5"]) == 41
     assert main(["verify", *SCARF, "--n-points", "100"]) == 42
     assert [c.command for c in seen] == ["scan", "verify"]
-    assert seen[0].sweep == (0.0, 1.0, 0.5) and seen[1].grid == oracle.Grid(-20.0, 20.0, 100)
+    assert seen[0].sweep == (0.5, 1.0, 0.5) and seen[1].grid == oracle.Grid(-20.0, 20.0, 100)
 
 
 def test_profile_at_the_cap_is_read(tmp_path):
@@ -672,7 +698,7 @@ class TestFamilyContract:
         spec = EXAMPLES[cls.family]
         assert type(spec) is cls
         args = build_parser().parse_args(["analyze", *family_argv(spec)])
-        assert _spec_from_args(args) == spec
+        assert config_from_args(args).spec == spec
 
     def test_parameters_document(self, cls, capsys):
         spec = EXAMPLES[cls.family]
@@ -811,6 +837,26 @@ def test_json_text_of_analyze_documents(family):
     assert (json.loads(text)["branches"] == []) == (family == "empty")
 
 
+def test_closed_form_documents_match_the_goldens():
+    # The benchmark's record of every analyze and scan document of its
+    # closed-form pool, byte for byte.  Its cli-roundtrip profiles and
+    # verify-dense eigenvalues pass through numpy and LAPACK kernels whose
+    # last bits may differ on other hardware, so those goldens are left to
+    # the benchmark.  The recorder runs in a fresh interpreter: hypothesis
+    # draws constants from every local module loaded, so importing the
+    # benchmark here would change the examples of later property tests.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = "import json, record; print(json.dumps(record.record_closed_form()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(perfbench)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads((perfbench / "goldens" / "closed_form.json").read_text())
+    assert json.loads(proc.stdout) == golden
+
+
 # Where the one .15g format of _num turns: integral values, the [1e15, 1e16)
 # range repr writes positionally, the smallest normals, the top of the range
 # (rounding to inf past ~1.797693134862315e308), subnormals and non-finites.
@@ -851,11 +897,11 @@ BOX_ENDS = st.one_of(
 )
 
 
-def coupling_argv(data, family):
-    """The couplings of the family's example spec, each kept or replaced by an extreme float."""
+def coupling_argv(data, family, skip=None):
+    """The example spec's couplings but skip, each kept or replaced by an extreme float."""
     return ["--{}={!r}".format(name.replace("_", "-"),
                                data.draw(st.one_of(st.just(value), EXTREME_FLOATS)))
-            for name, value in EXAMPLES[family].parameters().items()]
+            for name, value in EXAMPLES[family].parameters().items() if name != skip]
 
 
 @settings(max_examples=200, deadline=None)
@@ -874,7 +920,9 @@ def test_scan_contract(family, data):
                          for _ in range(3))
     if data.draw(st.booleans()):  # an ascending range with a positive step, half the time
         start, stop, step = min(start, stop), max(start, stop), abs(step)
-    argv = ["scan", "--family", family, *coupling_argv(data, family),
+    # scan takes its swept coupling from --start
+    argv = ["scan", "--family", family,
+            *coupling_argv(data, family, families.FAMILIES[family].sweep_field),
             f"--start={start!r}", f"--stop={stop!r}", f"--step={step!r}"]
     code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
     if code == EXIT_OK:
@@ -884,15 +932,19 @@ def test_scan_contract(family, data):
 def box_argv(data, max_points):
     ends = [data.draw(BOX_ENDS) * data.draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)]
     return [f"--x-min={min(ends)!r}", f"--x-max={max(ends)!r}",
-            "--n-points", str(data.draw(st.integers(16, max_points))),
-            "--epsilon", str(data.draw(st.sampled_from([1, -1]))),
+            "--n-points", str(data.draw(st.integers(16, max_points)))]
+
+
+def level_argv(data):
+    return ["--epsilon", str(data.draw(st.sampled_from([1, -1]))),
             "--n", str(data.draw(st.integers(-1, 3)))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(list(EXAMPLES)), st.data())
 def test_wavefunction_contract(family, data):
-    argv = ["wavefunction", *family_argv(EXAMPLES[family]), *box_argv(data, 2000)]
+    argv = ["wavefunction", *family_argv(EXAMPLES[family]), *box_argv(data, 2000),
+            *level_argv(data)]
     code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
     if code == EXIT_OK:
         assert "nan" not in out and "inf" not in out
