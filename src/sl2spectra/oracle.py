@@ -1,40 +1,28 @@
 """Finite-difference verification oracle for the closed-form spectra.
 
 The Schrodinger operator -d^2/dx^2 + V(x) is discretized on a uniform grid
-with Dirichlet walls as the five bands of H (`banded_form`), the eigenvalues
-of H inside a contour Gamma are computed from banded solves alone, and the
-closed-form levels are matched against numeric eigenvalues whose
-eigenvectors decay at the walls (the bound-state discriminator against box
-continuum artifacts).  This path is deliberately independent of the algebra
-module: nothing here knows about realizations or ladder operators.
+with Dirichlet walls as the five bands of H (`banded_form`).  Each
+closed-form level is checked in its own disc: the eigenvalues of H within
+the match tolerance of the level are computed from banded solves alone, and
+the level is matched against those whose eigenvectors decay at the walls
+(the bound-state discriminator against box continuum artifacts).  This path
+is deliberately independent of the algebra module: nothing here knows about
+realizations or ladder operators.
 
-Gamma comes from the operator, never from the closed form (`contour`): an
-ellipse around the rectangle lo <= Re E <= hi, |Im E| <= M, read from the
-potential on the interior points.  Re E >= lo and |Im E| <= M hold for every
-eigenvalue whose vector keeps away from the walls (v* H v = lambda v* v, and
-the kinetic term is nonnegative), and hi cuts the box continuum above the
-bound levels.  `contour_eigvals` is Beyn's contour-integral method (Beyn,
-Linear Algebra Appl. 436, 3839 (2012); Sakurai & Sugiura, J. Comput. Appl.
-Math. 159, 119 (2003)): random probes filtered by a trapezoidal rule on
-Gamma, one banded LU per node, a Rayleigh-Ritz step on the filtered
-subspace and a polish of each eigenvalue by inverse iteration on the bands.
-Its working set is O(N p) for p probes, p a little above the number of
-eigenvalues inside Gamma; no N x N array exists on this path.  The few
-eigenvectors the matching probes come lazily (`Eigendata`), each from one
-banded LU and three solves of the same inverse iteration (`_inverse_steps`)
-that polishes the eigenvalues.
-
-PT-symmetric potentials (V(-x) = conj V(x): Scarf II, and generalized
-Poschl-Teller with c = 0) on a box symmetric about 0 give bands with
-P conj(H) P = H, where P reverses the grid order.  Such an H is unitarily
-similar to the real matrix A = Q* H Q = Re H - (Im H) P, Q = (I + iP)/sqrt 2,
-so the contour solve filters in the real form: conjugate nodes share one
-banded solve, and the eigenvalues come out real or in exact conjugate
-pairs.  The choice is made from the bands alone (`_pt_symmetric`): any other
-operator (Morse, gPT with c != 0, an asymmetric box) is solved as it is.
+`Eigendata.from_bands` merges the discs that meet into one circle each
+(`_circles`) and solves inside each circle by Beyn's contour-integral method
+(`_circle_eigvals`; Beyn, Linear Algebra Appl. 436, 3839 (2012); Sakurai &
+Sugiura, J. Comput. Appl. Math. 159, 119 (2003)): random probes filtered by
+a trapezoidal rule on the circle, one banded LU per node, a Rayleigh-Ritz
+step on the filtered subspace and a polish of each eigenvalue by inverse
+iteration on the bands.  Its working set is O(N p) for p probes, p a little
+above the number of eigenvalues at or near the circle; no N x N array
+exists on this path.  The few eigenvectors the matching probes come lazily
+(`Eigendata.vector`), each from one banded LU and three solves of the same
+inverse iteration (`_inverse_steps`) that polishes the eigenvalues.
 
 The dense expansion `discretize` and the dense eigensolver `eigvals_complex`
-are the reference the tests check the contour solve against; no command
+are the reference the tests check the disc solve against; no command
 reaches them.  Only the solves need scipy, and they import it when they
 first run, so the closed-form paths (analyze, scan, wavefunction, verify
 --from-file) never load it.
@@ -64,34 +52,26 @@ DEFAULT_RESIDUAL_TOL = 1e-5
 # with an order of magnitude to spare on either side.
 DEFAULT_DECAY_GATE = 1e-2
 EDGE_FRACTION = 0.05
-# Largest defect max|H - P conj(H) P| / ||H||_F for which the contour solve
-# works in the real form of H: dropping a defect this small perturbs H by
-# less than the solver's own rounding.  The FD matrices of PT-symmetric
-# specs measure ~1e-17 here, Morse-AB ~1e-1.
-PT_TOL = 1e-14
 # LAPACK's xGEEV rescales a matrix whose largest entry is below
 # sqrt(safe minimum) / eps (~6.72e-139), and the eigenvalues it returns after
-# that rescale are wrong.  The contour solve hands xGEEV the projected matrix
-# U* H U, whose entries are on the scale of H's.  Scarf(9.75, 6) at 100
-# points, against the same operator scaled by h^2, with Gamma around the ten
-# lowest box levels: the contour eigenvalues agree to 2e-13 relative on a
-# +-1e70 box; at +-1e71 xGEEV keeps 2 of the 10, and with the projected
-# matrix scaled up first all 10 come back but the polish overflows (its
-# inverse-iteration vectors grow to ~1 / (eps |H|) and their squared norm
-# passes the largest double) and returns nan.  The dense xGEEV was off by
-# 5.1e-15, 9.7e-2 and 1.1e14 at +-1e70, 1e71 and 1e78.  `banded_form` rejects
-# such an H.
+# that rescale are wrong.  The disc solve hands xGEEV only its projected
+# matrix in the circle's own coordinates, U* (H - c) U / r, whose
+# eigenvalues inside the circle have modulus below 1 whatever the scale of H.
+# Scarf(9.75, 6) at 100 points, with a disc about each of the ten lowest box
+# levels (read from the same operator scaled by h^2): the disc solve returns
+# all ten to 1e-12 relative on boxes of +-1e70, 1e71 and 1e78, whose largest
+# entries are 6.1e-137, 6.1e-139 and 6.1e-153, while the dense xGEEV is off
+# by 3.4e-13, 9.7e-2 and 1.1e14.  Handed U* H U itself, the disc solve kept
+# 5, 0 and 0 of the ten: those levels lie near 1e-140 on every such box.
+# `banded_form` still rejects an H below the floor, so that the dense
+# reference `eigvals_complex` holds on every H it returns.
 LAPACK_SCALE_FLOOR = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 RESIDUAL_EDGE_SKIP = 5
-# Contour eigensolve: trapezoidal nodes on the ellipse (PT-symmetric bands
-# solve half of them), the first probe count, the relative rank cut of A0,
-# the relative pad around [lo, hi] x [-M, M], and polish rounds per
-# eigenvalue.
-CONTOUR_NODES = 64
-CONTOUR_PROBES = 48
-PROBE_BLOCK = 32
+# Disc eigensolve: trapezoidal nodes on each circle, the first probe count,
+# the relative rank cut of A0, and polish rounds per eigenvalue.
+DISC_NODES = 16
+DISC_PROBES = 8
 RANK_TOL = 1e-14
-CONTOUR_MARGIN = 0.05
 POLISH_ROUNDS = 2
 
 
@@ -177,7 +157,7 @@ def banded_form(potential, grid: Grid) -> np.ndarray:
     if peak < LAPACK_SCALE_FLOOR:
         raise InvalidSpec(
             f"largest operator entry {peak:.3g} is below {LAPACK_SCALE_FLOOR:.3g}, "
-            "where LAPACK's xGEEV rescales the projected matrix and loses the spectrum"
+            "where LAPACK's xGEEV rescales a matrix and loses its spectrum"
         )
     with np.errstate(over="ignore"):  # the check below rejects inf
         norm = float(np.linalg.norm(ab))
@@ -222,20 +202,6 @@ def _sorted_by_value(w: np.ndarray) -> np.ndarray:
     return np.lexsort((w.imag, w.real))
 
 
-def _pt_symmetric(ab: np.ndarray) -> bool:
-    """Whether P conj(H) P = H to PT_TOL * ||H||_F, P the reversal of the grid order.
-
-    (P conj(H) P)[i, j] = conj(H[m-1-i, m-1-j]), whose bands are
-    ab[::-1, ::-1].conj(): the reversal maps each band onto its mirror and
-    the zero corners of ab onto each other, and the entries off the bands are
-    zero on both sides, so this is the check on the whole matrix.  A
-    non-finite entry fails it.
-    """
-    defect = float(np.abs(ab - ab[::-1, ::-1].conj()).max())
-    bound = PT_TOL * float(np.linalg.norm(ab))
-    return math.isfinite(bound) and defect <= bound
-
-
 def eigvals_complex(h_mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense real or complex matrix, sorted by (re, im); destroys h_mat.
 
@@ -252,47 +218,6 @@ def eigvals_complex(h_mat: np.ndarray) -> np.ndarray:
     return w[_sorted_by_value(w)]
 
 
-@dataclass(frozen=True)
-class Ellipse:
-    """The ellipse ((Re z - center) / a)^2 + (Im z / b)^2 = 1, symmetric about the real axis."""
-
-    center: float
-    a: float
-    b: float
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        return ((z.real - self.center) / self.a) ** 2 + (z.imag / self.b) ** 2 < 1.0
-
-    def node(self, j: int) -> tuple[complex, complex]:
-        """Trapezoidal node j of CONTOUR_NODES and its weight for (1 / 2 pi i) * integral dz."""
-        theta = 2.0 * math.pi * (j + 0.5) / CONTOUR_NODES
-        cos, sin = math.cos(theta), math.sin(theta)
-        z = complex(self.center + self.a * cos, self.b * sin)
-        return z, complex(self.b * cos, self.a * sin) / CONTOUR_NODES
-
-
-def contour(ab: np.ndarray) -> Ellipse:
-    """The contour Gamma of the eigensolve, read from the operator's bands alone.
-
-    Each row of the stencil sums to zero, so away from the walls the row sums
-    of H are V.  On the interior points less the outer EDGE_FRACTION at each
-    wall, lo = min Re V and M = max |Im V|; hi = V_thr + M, with V_thr the
-    real part of V at whichever inner end has the smaller |V|.  Gamma is the
-    ellipse through the corners of [lo, hi] x [-M, M], each side padded by
-    CONTOUR_MARGIN of max(hi - lo, M), plus CONTOUR_MARGIN of the largest
-    entry of H times sqrt(eps) so that Gamma stays an ellipse when V vanishes.
-    """
-    m = ab.shape[1]
-    k = max(1, int(round(EDGE_FRACTION * m)))
-    v = banded_matvec(ab, np.ones(m, dtype=complex))[k : m - k]
-    lo = float(v.real.min())
-    top = float(np.abs(v.imag).max())
-    hi = float(v[0].real if abs(v[0]) <= abs(v[-1]) else v[-1].real) + top
-    pad = CONTOUR_MARGIN * (max(hi - lo, top) + math.sqrt(sys.float_info.epsilon) * float(np.abs(ab).max()))
-    lo, hi, top = lo - pad, hi + pad, top + pad
-    return Ellipse(0.5 * (lo + hi), math.sqrt(0.5) * (hi - lo), math.sqrt(2.0) * top)
-
-
 def _shifted_lu(ab: np.ndarray, z: complex):
     """LAPACK's banded LU factors of z - H, or None when z - H is exactly singular."""
     from scipy.linalg import lapack
@@ -302,49 +227,6 @@ def _shifted_lu(ab: np.ndarray, z: complex):
     lu[4] += z
     lu, piv, info = lapack.zgbtrf(lu, 2, 2, overwrite_ab=True)
     return None if info > 0 else (lu, piv)
-
-
-def _filtered_probes(ab: np.ndarray, gamma: Ellipse, probes: np.ndarray, real: bool) -> np.ndarray:
-    """A0 = sum_j w_j (z_j - H)^-1 probes over the nodes of gamma: the probes
-    filtered onto the eigenvectors whose eigenvalues lie inside gamma.
-
-    The probes are solved PROBE_BLOCK columns at a time, so the working set is
-    A0 and the probes.  With real, A0 is that of the real form A = Q* H Q,
-    Q = (I + iP) / sqrt 2, whose resolvent is Q* (z - H)^-1 Q: an upper node
-    z_j stands for the pair (z_j, conj z_j), whose terms are complex
-    conjugates, so the pair costs one banded solve Y = (z_j - H)^-1 (I + iP)
-    probes and adds 2 Re(w_j Q* Y) = Re(w_j Y) + P Im(w_j Y).
-    """
-    from scipy.linalg import lapack
-
-    m, p = probes.shape
-    a0 = np.zeros((m, p), dtype=float if real else complex, order="F")
-    x = np.empty((m, min(PROBE_BLOCK, p)), dtype=complex, order="F")
-    for j in range(CONTOUR_NODES // 2 if real else CONTOUR_NODES):
-        z, w = gamma.node(j)
-        factors = _shifted_lu(ab, z)
-        if factors is None:
-            raise NoConvergence(f"contour node {z} is an eigenvalue of H")
-        for lo in range(0, p, PROBE_BLOCK):
-            hi = min(lo + PROBE_BLOCK, p)
-            xb = x[:, : hi - lo]
-            xb.real = probes[:, lo:hi]
-            xb.imag = probes[::-1, lo:hi] if real else 0.0
-            lapack.zgbtrs(factors[0], 2, 2, xb, factors[1], overwrite_b=True)
-            xb *= w
-            if real:
-                a0[:, lo:hi] += xb.real
-                a0[:, lo:hi] += xb.imag[::-1]
-            else:
-                a0[:, lo:hi] += xb
-    return a0
-
-
-def _apply(ab: np.ndarray, x: np.ndarray, real: bool) -> np.ndarray:
-    """H x, or with real A x for the real form A = Re H - (Im H) P."""
-    if not real:
-        return banded_matvec(ab, x)
-    return banded_matvec(ab.real, x) - banded_matvec(ab.imag, x[::-1])
 
 
 def _scaled_to_unit(z: np.ndarray) -> np.ndarray:
@@ -398,72 +280,90 @@ def _polish(ab: np.ndarray, lam: complex, v: np.ndarray) -> complex:
     return lam
 
 
-def contour_eigvals(ab: np.ndarray, gamma: Ellipse) -> np.ndarray:
-    """The eigenvalues of H inside gamma, sorted by (re, im), from banded solves only.
+def _hull(c1: complex, r1: float, c2: complex, r2: float) -> tuple[complex, float]:
+    """The smallest circle that holds the circles (c1, r1) and (c2, r2)."""
+    d = abs(c2 - c1)
+    if d + min(r1, r2) <= max(r1, r2):
+        return (c1, r1) if r1 >= r2 else (c2, r2)
+    r = 0.5 * (d + r1 + r2)
+    return c1 + (c2 - c1) * ((r - r1) / d), r
 
-    Beyn's method on p random probe columns: A0 (`_filtered_probes`) spans
-    the eigenvectors whose eigenvalues lie inside gamma.  A pivoted QR
-    A0 P = Q R reveals its numerical rank, the count of |R_ii| above
-    RANK_TOL times max(|R_00|, 1) (one eigenvalue inside gamma gives a
-    column of size ~1); p starts at CONTOUR_PROBES and doubles while the
-    rank is p.  The first `rank` columns of Q are an orthonormal basis U of
-    the filtered subspace, and the eigenvalues of the projected matrix
-    U* H U inside gamma are kept.  That matrix is Beyn's U* A1 W S^-1 from
-    the SVD A0 = U S W*, since the trapezoidal weights sum to zero and so
-    A1 = sum_j w_j z_j (z_j - H)^-1 probes = H A0; forming it from U,
-    PROBE_BLOCK columns at a time, spares an N x p accumulator for A1.
-    Each kept eigenvalue is polished on the bands (`_polish`) from its Ritz
-    vector.  PT-symmetric bands work in the real form, so the projected
-    matrix is real and its eigenvalues are real or exact conjugate pairs:
-    only the member with Im >= 0 is polished, a real one stays real, and
-    the other member of a pair is its conjugate.
+
+def _circles(centres, radius: float) -> list[tuple[complex, float]]:
+    """One circle (centre, radius) per group of the discs |z - c| <= radius that meet.
+
+    Each disc in turn absorbs every circle it meets into their `_hull`, so
+    every disc lies in one of the circles returned, and no two of them meet.
+    """
+    circles: list[tuple[complex, float]] = []
+    for c in centres:
+        c, r = complex(c), radius
+        while True:
+            k = next((k for k, (c2, r2) in enumerate(circles) if abs(c - c2) <= r + r2), None)
+            if k is None:
+                break
+            c, r = _hull(c, r, *circles.pop(k))
+        circles.append((c, r))
+    return circles
+
+
+def _nodes(centre: complex, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The DISC_NODES trapezoidal nodes on |z - centre| = radius and their
+    weights for (1 / 2 pi i) * integral dz."""
+    step = radius * np.exp(2j * np.pi * (np.arange(DISC_NODES) + 0.5) / DISC_NODES)
+    return centre + step, step / DISC_NODES
+
+
+def _circle_eigvals(ab: np.ndarray, centre: complex, radius: float) -> list[complex]:
+    """The eigenvalues of H inside |z - centre| < radius, from banded solves only.
+
+    Beyn's method on p random probe columns: A0 = sum_j w_j (z_j - H)^-1
+    probes over the nodes (`_nodes`) spans the eigenvectors whose
+    eigenvalues lie inside the circle.  A pivoted QR A0 P = Q R reveals its
+    numerical rank, the count of |R_ii| above RANK_TOL times max(|R_00|, 1)
+    (one eigenvalue inside gives a column of size ~1); p starts at
+    DISC_PROBES and doubles while the rank is p.  The first `rank` columns
+    of Q are an orthonormal basis U of the filtered subspace.  The projected
+    matrix U* H U is Beyn's U* A1 W S^-1 from the SVD A0 = U S W*, since the
+    trapezoidal weights sum to zero and so A1 = sum_j w_j z_j (z_j - H)^-1
+    probes = H A0.  It is diagonalized in the circle's own coordinates,
+    U* (H - centre) U / radius, whose eigenvalues mu inside the circle have
+    |mu| < 1 whatever the scale of H (see LAPACK_SCALE_FLOOR); each such
+    centre + radius mu is polished on the bands (`_polish`) from its Ritz
+    vector.
     """
     import scipy.linalg
     from scipy.linalg import lapack
 
-    real = _pt_symmetric(ab)
     m = ab.shape[1]
     rng = np.random.default_rng(0)
-    geqp3, orgqr = lapack.get_lapack_funcs(
-        ("geqp3", "orgqr" if real else "ungqr"), dtype=float if real else complex
-    )
-    p = min(CONTOUR_PROBES, m)
+    p = min(DISC_PROBES, m)
     while True:
-        probes = rng.standard_normal((m, p), dtype=np.float32)
-        qr, _, tau, _, _ = geqp3(_filtered_probes(ab, gamma, probes, real), overwrite_a=True)
-        del probes
+        probes = rng.standard_normal((m, p)).astype(complex, order="F")
+        a0 = np.zeros((m, p), dtype=complex, order="F")
+        for z, w in zip(*_nodes(centre, radius)):
+            factors = _shifted_lu(ab, z)
+            if factors is None:
+                raise NoConvergence(f"contour node {z} is an eigenvalue of H")
+            a0 += w * lapack.zgbtrs(factors[0], 2, 2, probes, factors[1])[0]
+        qr, _, tau, _, _ = lapack.zgeqp3(a0, overwrite_a=True)
         diag = np.abs(np.diagonal(qr))
         rank = int(np.count_nonzero(diag > RANK_TOL * max(diag[0], 1.0)))
         if rank < p or p == m:
             break
-        del qr, tau  # before the next, larger A0 is built
         p = min(2 * p, m)
     if rank == 0:
-        return np.empty(0, dtype=complex)
-    q, _, _ = orgqr(qr[:, :rank], tau[:rank], overwrite_a=True)
-    projected = np.empty((rank, rank), dtype=q.dtype)
-    for lo in range(0, rank, PROBE_BLOCK):
-        hq = _apply(ab, q[:, lo : lo + PROBE_BLOCK], real)
-        projected[:, lo : lo + PROBE_BLOCK] = (q.T @ hq.conj()).conj()
+        return []
+    q, _, _ = lapack.zungqr(qr[:, :rank], tau[:rank], overwrite_a=True)
+    projected = q.conj().T @ banded_matvec(ab, q)
+    projected[np.diag_indices(rank)] -= centre
     try:
-        lam, y = scipy.linalg.eig(projected, check_finite=False)
+        mu, y = scipy.linalg.eig(projected / radius, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergence(f"projected eigenvalue iteration failed: {exc}") from exc
-    keep = gamma.contains(lam) & ((lam.imag >= 0) if real else True)
-    values = []
-    for lam_i, y_i in zip(lam[keep], y[:, keep].T):
-        v = q @ y_i
-        if real:
-            v = v + 1j * v[::-1]
-        polished = _polish(ab, complex(lam_i), v)
-        if not real:
-            values.append(polished)
-        elif lam_i.imag == 0:
-            values.append(complex(polished.real, 0.0))
-        else:
-            values += [polished, polished.conjugate()]
-    w = np.array(values, dtype=complex)
-    return w[_sorted_by_value(w)]
+    inside = np.abs(mu) < 1.0
+    return [_polish(ab, centre + radius * complex(mu_i), q @ y_i)
+            for mu_i, y_i in zip(mu[inside], y[:, inside].T)]
 
 
 class Eigendata:
@@ -472,7 +372,7 @@ class Eigendata:
     Vectors come lazily from inverse iteration on the pentadiagonal bands,
     for the few candidates matching probes: one banded LU of lambda - H and
     three solves per vector, through `_inverse_steps`, the helper the polish
-    of `contour_eigvals` also uses.  Each vector is checked against
+    of the disc solve also uses.  Each vector is checked against
     the backward-error contract ||H v - lambda v|| / (||H||_F ||v||) <
     BACKWARD_ERROR_TOL, and a violation raises NoConvergence.
     """
@@ -484,10 +384,13 @@ class Eigendata:
         self._h_norm = float(np.linalg.norm(bands))
 
     @classmethod
-    def from_bands(cls, ab: np.ndarray) -> "Eigendata":
+    def from_bands(cls, ab: np.ndarray, centres, radius: float) -> "Eigendata":
         """Eigendata of the operator whose bands `banded_form` returned: the
-        eigenvalues of H inside `contour(ab)`, from `contour_eigvals`."""
-        return cls(contour_eigvals(ab, contour(ab)), bands=ab)
+        eigenvalues of H inside the circles that hold the discs of radius
+        about the centres (`_circles`, `_circle_eigvals`), sorted by (re, im)."""
+        circles = _circles(centres, radius)
+        w = np.array([lam for c, r in circles for lam in _circle_eigvals(ab, c, r)], dtype=complex)
+        return cls(w[_sorted_by_value(w)], bands=ab)
 
     def vector(self, index: int) -> np.ndarray:
         if index not in self._cache:
@@ -548,26 +451,27 @@ def match_levels(
     eigendata: Eigendata,
     tol: float = DEFAULT_MATCH_TOL,
 ) -> MatchReport:
-    """Match each closed-form level to the nearest decaying numeric eigenvalue.
+    """Match each closed-form level to the nearest decaying numeric eigenvalue in its disc.
 
-    Candidates are probed in order of distance in the complex plane; the
-    first whose eigenvector passes the boundary-decay gate (DEFAULT_DECAY_GATE)
-    is the match candidate, and the level counts as matched when that
-    candidate lies within tol.  A wrong level therefore stays unmatched even
-    if a box continuum eigenvalue happens to sit nearby, because continuum
-    vectors fail the gate.  Candidates at equal distance (such as the two members of
-    an exact conjugate pair seen from a real level) are probed in the
-    (re, im) order of eigendata.values, so the member with negative
-    imaginary part comes first.  When none of the MAX_DECAY_PROBES nearest
-    decays, the row is unmatched and reports the nearest candidate.  With no
-    numeric eigenvalue at all (an operator whose contour holds none), every
-    row is unmatched, with nan for e_numeric, abs_error and boundary_decay.
+    The candidates of a level are the numeric eigenvalues within tol of it,
+    probed in order of distance in the complex plane; the first whose
+    eigenvector passes the boundary-decay gate (DEFAULT_DECAY_GATE) is the
+    match.  A wrong level therefore stays unmatched even if a box continuum
+    eigenvalue happens to sit nearby, because continuum vectors fail the
+    gate.  Candidates at equal distance (such as the two members of a
+    conjugate pair seen from a real level) are probed in the (re, im) order
+    of eigendata.values, so the member with negative imaginary part comes
+    first.  When none of the MAX_DECAY_PROBES nearest decays, the row is
+    unmatched and reports the nearest candidate.  A row with no candidate
+    (an empty disc) is unmatched, with nan for e_numeric, abs_error and
+    boundary_decay.
     """
     rows = []
     for level in closed:
-        order = np.argsort(np.abs(eigendata.values - level.energy), kind="stable")
+        dist = np.abs(eigendata.values - level.energy)
+        order = np.argsort(dist, kind="stable")
         chosen, decays = None, False  # (index, boundary decay) of the row's candidate
-        for idx in map(int, order[:MAX_DECAY_PROBES]):
+        for idx in map(int, order[dist[order] <= tol][:MAX_DECAY_PROBES]):
             decay = boundary_decay(eigendata.vector(idx))
             decays = decay <= DEFAULT_DECAY_GATE
             if chosen is None or decays:
@@ -576,16 +480,15 @@ def match_levels(
                 break
         idx, decay = chosen or (None, math.nan)
         e_num = complex(math.nan, math.nan) if idx is None else complex(eigendata.values[idx])
-        abs_error = abs(e_num - level.energy)
         rows.append(
             LevelMatch(
                 n=level.n,
                 epsilon=level.epsilon,
                 e_closed=complex(level.energy),
                 e_numeric=e_num,
-                abs_error=abs_error,
+                abs_error=abs(e_num - level.energy),
                 boundary_decay=decay,
-                matched=decays and bool(abs_error <= tol),
+                matched=decays,
             )
         )
     return MatchReport(rows=rows)
@@ -620,7 +523,7 @@ def verify_spectrum(
     grid: Grid | None = None,
     tol: float = DEFAULT_MATCH_TOL,
 ) -> MatchReport:
-    """Full pipeline: solve, enumerate, build the bands, solve inside the contour, match.
+    """Full pipeline: solve, enumerate, build the bands, solve in each level's disc, match.
 
     Closed-form levels appear in deterministic order (branches in solver
     order, n ascending).  NoRegularBranch propagates to the caller.
@@ -628,5 +531,6 @@ def verify_spectrum(
     branches = families.solve(spec)
     closed = [lv for sol in branches for lv in spectrum.enumerate_levels(sol)]
     grid = grid or default_grid(spec)
-    eigendata = Eigendata.from_bands(banded_form(spec.potential, grid))
+    ab = banded_form(spec.potential, grid)
+    eigendata = Eigendata.from_bands(ab, [lv.energy for lv in closed], tol)
     return match_levels(closed, eigendata, tol=tol)

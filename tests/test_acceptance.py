@@ -33,6 +33,7 @@ from sl2spectra import (
 )
 from sl2spectra.oracle import (
     DEFAULT_DECAY_GATE,
+    DEFAULT_MATCH_TOL,
     MAX_DECAY_PROBES,
     banded_form,
     boundary_decay,
@@ -279,7 +280,8 @@ def test_criterion_6_property_suites(scarf96_box15):
     spec = ScarfSpec(9.75, 6.0)
     errors = {}
     for n_points in (751, 1501):  # h = 0.04 then h = 0.02 on [-15, 15]
-        w = Eigendata.from_bands(banded_form(spec.potential, Grid(-15.0, 15.0, n_points))).values
+        ab = banded_form(spec.potential, Grid(-15.0, 15.0, n_points))
+        w = Eigendata.from_bands(ab, (-6.25, -2.25), DEFAULT_MATCH_TOL).values
         errors[n_points] = [
             abs(w[np.argmin(np.abs(w - e))] - e) for e in (-6.25, -2.25)
         ]

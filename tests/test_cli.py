@@ -287,6 +287,19 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert any(row[5] == "false" for row in rows)
 
+    def test_steep_morse_wall_matches_each_level(self, capsys):
+        # the wall's Im V on this wider box once put the whole box spectrum in
+        # the solve's window, and both rows claimed 80.496 + 2.597i (exit 4)
+        code, out = run_cli(
+            capsys,
+            ["verify", "--family", "morse-ab", "--A", "1", "--B", "1", "--gamma-p", "3",
+             "--delta-p", "5", "--x-min=-6", "--x-max", "40", "--n-points", "4000"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(row[5] == "true" and float(row[4]) < 1e-8 for row in rows)
+
     def test_no_branch_exit_3(self, capsys):
         code, _ = run_cli(
             capsys,
@@ -432,96 +445,165 @@ PROFILES = {
     "over_cap.csv": PROFILE_HEADER + "".join(OVER_CAP_ROWS),
 }
 BAD_INPUTS = {
-    "v2-nan": ["analyze", "--family", "scarf2", "--v1", "9.75", "--v2", "nan"],
-    "v1-inf": ["analyze", "--family", "scarf2", "--v1", "inf", "--v2", "6"],
-    "morse-v1i-inf": ["analyze", "--family", "morse", "--v1r", "1", "--v1i", "inf",
-                      "--v2r", "1", "--v2i", "1"],
-    "v1-1e300": ["analyze", "--family", "scarf2", "--v1", "1e300", "--v2", "6"],
-    "grid-too-coarse": ["wavefunction", *SCARF, "--n", "1", "--n-points", "100"],
-    # spacing 0.1 * (1 + 1e-6): past the 1e-9 slack for linspace rounding
-    "grid-spacing-just-over-0.1": ["wavefunction", *SCARF, "--n", "1", "--x-min=-20",
-                                   "--x-max", "20.00004", "--n-points", "401"],
-    "negative-n": ["wavefunction", *SCARF, "--n", "-1", "--n-points", "256"],
-    "no-level-from-file": ["verify", *SCARF, "--epsilon", "-1", "--n", "1",
-                           "--from-file", "{tmp}/zero.csv"],
-    "missing-file": ["verify", *SCARF, "--from-file", "{tmp}/missing.csv"],
-    "missing-column": ["verify", *SCARF, "--from-file", "{tmp}/no_im.csv"],
-    "bad-number": ["verify", *SCARF, "--from-file", "{tmp}/bad_number.csv"],
-    "zero-profile": ["verify", *SCARF, "--from-file", "{tmp}/zero.csv"],
-    "verify-file-nan": ["verify", *SCARF, "--from-file", "{tmp}/nan.csv"],
-    "verify-file-inf": ["verify", *SCARF, "--from-file", "{tmp}/inf.csv"],
-    "verify-file-no-rows": ["verify", *SCARF, "--from-file", "{tmp}/no_rows.csv"],
-    "verify-file-8-rows": ["verify", *SCARF, "--from-file", "{tmp}/rows8.csv"],
-    "verify-file-x-decreasing": ["verify", *SCARF, "--from-file", "{tmp}/x_decreasing.csv"],
-    "verify-file-x-repeated": ["verify", *SCARF, "--from-file", "{tmp}/x_repeated.csv"],
-    "verify-file-x-nonuniform": ["verify", *SCARF, "--from-file", "{tmp}/x_nonuniform.csv"],
-    "verify-file-over-profile-cap": ["verify", *SCARF, "--from-file", "{tmp}/over_cap.csv"],
-    "scan-morse": ["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
-    # scan takes v2 from --start, and Scarf II requires v2 != 0
-    "scan-stop-inf": ["scan", *SCARF[:-2], "--start", "0.1", "--stop", "inf", "--step", "0.5"],
-    "scan-huge-range": ["scan", *SCARF[:-2], "--start", "0.1", "--stop", "1e9",
-                        "--step", "1e-9"],
-    "morse-ab-A-1e200": ["analyze", "--family", "morse-ab", "--A", "1e200", "--B", "1",
-                         "--gamma-p", "3", "--delta-p", "3"],
-    "morse-v1-1e308": ["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
+    "v2-nan": (["analyze", "--family", "scarf2", "--v1", "9.75", "--v2", "nan"],
+               "scarf2 requires a finite v2 of magnitude at most 1.79769313486231e+308, got nan"),
+    "v1-inf": (["analyze", "--family", "scarf2", "--v1", "inf", "--v2", "6"],
+               "scarf2 requires a finite v1 of magnitude at most 1.79769313486231e+308, got inf"),
+    "morse-v1i-inf": (["analyze", "--family", "morse", "--v1r", "1", "--v1i", "inf",
                        "--v2r", "1", "--v2i", "1"],
+                      "morse requires a finite v1i of magnitude at most 1.79769313486231e+308, "
+                      "got inf"),
+    "v1-1e300": (["analyze", "--family", "scarf2", "--v1", "1e300", "--v2", "6"],
+                 "1e+150 closed-form levels exceed the cap of 10000"),
+    "grid-too-coarse": (["wavefunction", *SCARF, "--n", "1", "--n-points", "100"],
+                        "spacing 0.40404040404040487 exceeds 0.1"),
+    # spacing 0.1 * (1 + 1e-6): past the 1e-9 slack for linspace rounding
+    "grid-spacing-just-over-0.1": (["wavefunction", *SCARF, "--n", "1", "--x-min=-20",
+                                    "--x-max", "20.00004", "--n-points", "401"],
+                                   "spacing 0.10000009999999904 exceeds 0.1"),
+    "negative-n": (["wavefunction", *SCARF, "--n", "-1", "--n-points", "256"],
+                   "no level (epsilon=1, n=-1)"),
+    "no-level-from-file": (["verify", *SCARF, "--epsilon", "-1", "--n", "1",
+                            "--from-file", "{tmp}/zero.csv"],
+                           "no level (epsilon=-1, n=1)"),
+    "missing-file": (["verify", *SCARF, "--from-file", "{tmp}/missing.csv"],
+                     "cannot read {tmp}/missing.csv: FileNotFoundError: [Errno 2] No such file "
+                     "or directory: '{tmp}/missing.csv'"),
+    "missing-column": (["verify", *SCARF, "--from-file", "{tmp}/no_im.csv"],
+                       "cannot read {tmp}/no_im.csv: KeyError: 'im_psi'"),
+    "bad-number": (["verify", *SCARF, "--from-file", "{tmp}/bad_number.csv"],
+                   "cannot read {tmp}/bad_number.csv: ValueError: could not convert string to "
+                   "float: 'abc'"),
+    "zero-profile": (["verify", *SCARF, "--from-file", "{tmp}/zero.csv"],
+                     "cannot form a relative residual of the zero function"),
+    "verify-file-nan": (["verify", *SCARF, "--from-file", "{tmp}/nan.csv"],
+                        "{tmp}/nan.csv holds a non-finite x, re_psi or im_psi"),
+    "verify-file-inf": (["verify", *SCARF, "--from-file", "{tmp}/inf.csv"],
+                        "{tmp}/inf.csv holds a non-finite x, re_psi or im_psi"),
+    "verify-file-no-rows": (["verify", *SCARF, "--from-file", "{tmp}/no_rows.csv"],
+                            "need at least 16 points, got 0"),
+    "verify-file-8-rows": (["verify", *SCARF, "--from-file", "{tmp}/rows8.csv"],
+                           "need at least 16 points, got 8"),
+    "verify-file-x-decreasing": (["verify", *SCARF, "--from-file", "{tmp}/x_decreasing.csv"],
+                                 "xs must be strictly increasing"),
+    "verify-file-x-repeated": (["verify", *SCARF, "--from-file", "{tmp}/x_repeated.csv"],
+                               "xs must be strictly increasing"),
+    "verify-file-x-nonuniform": (["verify", *SCARF, "--from-file", "{tmp}/x_nonuniform.csv"],
+                                 "grid spacing is not uniform"),
+    "verify-file-over-profile-cap": (["verify", *SCARF, "--from-file", "{tmp}/over_cap.csv"],
+                                     "profile capped at 100000 points, {tmp}/over_cap.csv has "
+                                     "more"),
+    "scan-morse": (["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
+                   "family 'morse' has no sweep parameter"),
+    # scan takes v2 from --start, and Scarf II requires v2 != 0
+    "scan-stop-inf": (["scan", *SCARF[:-2], "--start", "0.1", "--stop", "inf", "--step", "0.5"],
+                      "sweep needs a finite start, stop and step, got 0.1, inf, 0.5"),
+    "scan-huge-range": (["scan", *SCARF[:-2], "--start", "0.1", "--stop", "1e9",
+                         "--step", "1e-9"],
+                        "sweep of 1e+18 samples exceeds the cap of 100000"),
+    "morse-ab-A-1e200": (["analyze", "--family", "morse-ab", "--A", "1e200", "--B", "1",
+                          "--gamma-p", "3", "--delta-p", "3"],
+                         "morse requires a finite v1r of magnitude at most "
+                         "1.79769313486231e+308, got inf"),
+    "morse-v1-1e308": (["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
+                        "--v2r", "1", "--v2i", "1"],
+                       "Morse couplings too large: the matching equations overflow"),
     # c rounds to inf at 15 digits: the document would say "c": Infinity
-    "gpt-c-rounds-to-inf": ["analyze", "--family", "poschl-teller", "--v1", "2", "--v2", "1",
-                            "--c", "1.7976931348623157e308", "--contour-gamma", "0.3"],
-    "verify-over-dense-cap": ["verify", *SCARF, "--n-points", "4100"],
-    "verify-n-points-0": ["verify", *SCARF, "--n-points", "0"],
-    "wavefunction-n-points-0": ["wavefunction", *SCARF, "--n-points", "0"],
-    "verify-x-max-inf": ["verify", *SCARF, "--x-max", "inf", "--n-points", "100"],
-    "verify-spacing-overflow": ["verify", *SCARF, "--x-min=-1e300", "--x-max=1e300",
-                                "--n-points", "100"],
-    "verify-spacing-underflow": ["verify", *SCARF, "--x-min", "1e-300", "--x-max", "2e-300",
+    "gpt-c-rounds-to-inf": (["analyze", "--family", "poschl-teller", "--v1", "2", "--v2", "1",
+                             "--c", "1.7976931348623157e308", "--contour-gamma", "0.3"],
+                            "poschl-teller requires a finite c of magnitude at most "
+                            "1.79769313486231e+308, got 1.7976931348623157e+308"),
+    "verify-over-dense-cap": (["verify", *SCARF, "--n-points", "4100"],
+                              "grid interior capped at 4096 points, got 4098"),
+    "verify-n-points-0": (["verify", *SCARF, "--n-points", "0"],
+                          "need at least 16 points, got 0"),
+    "wavefunction-n-points-0": (["wavefunction", *SCARF, "--n-points", "0"],
+                                "need at least 16 points, got 0"),
+    "verify-x-max-inf": (["verify", *SCARF, "--x-max", "inf", "--n-points", "100"],
+                         "domain [-20.0, inf] is not finite"),
+    "verify-spacing-overflow": (["verify", *SCARF, "--x-min=-1e300", "--x-max=1e300",
                                  "--n-points", "100"],
-    "verify-spacing-subnormal": ["verify", *SCARF, "--x-min", "1e-158", "--x-max", "1.99e-158",
-                                 "--n-points", "100"],
+                                "grid spacing 2.0202e+298 puts h^2 or 1/h^4 outside the normal "
+                                "double range"),
+    "verify-spacing-underflow": (["verify", *SCARF, "--x-min", "1e-300", "--x-max", "2e-300",
+                                  "--n-points", "100"],
+                                 "grid spacing 1.0101e-302 puts h^2 or 1/h^4 outside the "
+                                 "normal double range"),
+    "verify-spacing-subnormal": (["verify", *SCARF, "--x-min", "1e-158", "--x-max", "1.99e-158",
+                                  "--n-points", "100"],
+                                 "grid spacing 1e-160 puts h^2 or 1/h^4 outside the normal "
+                                 "double range"),
     # h^2 is normal, but the Frobenius norm of H would square 1/h^2 below it
-    "verify-spacing-norm-underflow-1e150": ["verify", *SCARF, "--x-min=-1e150",
-                                            "--x-max=1e150", "--n-points", "100"],
-    "verify-spacing-norm-underflow-1e80": ["verify", *SCARF, "--x-min=-1e80", "--x-max=1e80",
-                                           "--n-points", "100"],
+    "verify-spacing-norm-underflow-1e150": (["verify", *SCARF, "--x-min=-1e150",
+                                             "--x-max=1e150", "--n-points", "100"],
+                                            "grid spacing 2.0202e+148 puts h^2 or 1/h^4 "
+                                            "outside the normal double range"),
+    "verify-spacing-norm-underflow-1e80": (["verify", *SCARF, "--x-min=-1e80", "--x-max=1e80",
+                                            "--n-points", "100"],
+                                           "grid spacing 2.0202e+78 puts h^2 or 1/h^4 outside "
+                                           "the normal double range"),
     # e^{-2x} overflows on the left of the box: V is not finite there
-    "verify-morse-potential-inf": ["verify", *MORSE, "--x-min=-800", "--x-max", "30",
-                                   "--n-points", "400"],
+    "verify-morse-potential-inf": (["verify", *MORSE, "--x-min=-800", "--x-max", "30",
+                                    "--n-points", "400"],
+                                   "potential is not finite on the grid interior"),
     # every entry of H is below the floor under which LAPACK rescales it
-    "verify-lapack-rescale-1e71": ["verify", *SCARF, "--x-min=-1e71", "--x-max=1e71",
-                                   "--n-points", "100"],
-    "verify-lapack-rescale-1e78": ["verify", *SCARF, "--x-min=-1e78", "--x-max=1e78",
-                                   "--n-points", "100"],
-    "verify-tol-nan": ["verify", *SCARF, "--tol", "nan", "--n-points", "100"],
-    "wavefunction-over-profile-cap": ["wavefunction", *SCARF,
-                                      "--n-points", str(MAX_PROFILE_POINTS + 1),
-                                      "--output", "{tmp}/f.csv"],
-    "output-in-missing-dir": ["analyze", *SCARF, "--output", "{tmp}/missing/out.json"],
-    "output-is-a-dir": ["wavefunction", *SCARF, "--output", "{tmp}"],
-    "output-empty-path": ["analyze", *SCARF, "--output", ""],
+    "verify-lapack-rescale-1e71": (["verify", *SCARF, "--x-min=-1e71", "--x-max=1e71",
+                                    "--n-points", "100"],
+                                   "largest operator entry 6.13e-139 is below 6.72e-139, where "
+                                   "LAPACK's xGEEV rescales a matrix and loses its spectrum"),
+    "verify-lapack-rescale-1e78": (["verify", *SCARF, "--x-min=-1e78", "--x-max=1e78",
+                                    "--n-points", "100"],
+                                   "largest operator entry 6.13e-153 is below 6.72e-139, where "
+                                   "LAPACK's xGEEV rescales a matrix and loses its spectrum"),
+    "verify-tol-nan": (["verify", *SCARF, "--tol", "nan", "--n-points", "100"],
+                       "--tol must be finite and positive, got nan"),
+    "wavefunction-over-profile-cap": (["wavefunction", *SCARF,
+                                       "--n-points", str(MAX_PROFILE_POINTS + 1),
+                                       "--output", "{tmp}/f.csv"],
+                                      "profile capped at 100000 points, got 100001"),
+    "output-in-missing-dir": (["analyze", *SCARF, "--output", "{tmp}/missing/out.json"],
+                              "cannot write {tmp}/missing/out.json: FileNotFoundError: [Errno "
+                              "2] No such file or directory: '{tmp}/missing/out.json'"),
+    "output-is-a-dir": (["wavefunction", *SCARF, "--output", "{tmp}"],
+                        "cannot write {tmp}: IsADirectoryError: [Errno 21] Is a directory: "
+                        "'{tmp}'"),
+    "output-empty-path": (["analyze", *SCARF, "--output", ""],
+                          "cannot write : FileNotFoundError: [Errno 2] No such file or "
+                          "directory: ''"),
     # profiles that are not finite on their grid: the 150th ladder step
     # overflows, a gPT power overflows, sech and sinh overflow at the far points
-    "wavefunction-ladder-overflow": ["wavefunction", "--family", "scarf2", "--v1", "1e5",
-                                     "--v2", "1", "--n", "150", "--n-points", "3000",
-                                     "--output", "{tmp}/f.csv"],
-    "wavefunction-gpt-power-overflow": ["wavefunction", "--family", "poschl-teller",
-                                        "--v1", "9.75", "--v2", "6", "--x-min=0",
-                                        "--x-max=800", "--n-points", "16", "--epsilon", "-1",
-                                        "--output", "{tmp}/f.csv"],
-    "wavefunction-scarf-800": ["wavefunction", *SCARF, "--x-min=-800", "--x-max=800",
-                               "--n-points", "16001"],
-    "wavefunction-gpt-1e70": ["wavefunction", "--family", "poschl-teller", "--v1", "9.75",
-                              "--v2", "6", "--x-min=0", "--x-max=1e70", "--n-points", "16"],
+    "wavefunction-ladder-overflow": (["wavefunction", "--family", "scarf2", "--v1", "1e5",
+                                      "--v2", "1", "--n", "150", "--n-points", "3000",
+                                      "--output", "{tmp}/f.csv"],
+                                     "profile n=150 is not finite on the grid"),
+    "wavefunction-gpt-power-overflow": (["wavefunction", "--family", "poschl-teller",
+                                         "--v1", "9.75", "--v2", "6", "--x-min=0",
+                                         "--x-max=800", "--n-points", "16", "--epsilon", "-1",
+                                         "--output", "{tmp}/f.csv"],
+                                        "ground state is not finite on the grid"),
+    "wavefunction-scarf-800": (["wavefunction", *SCARF, "--x-min=-800", "--x-max=800",
+                                "--n-points", "16001"],
+                               "sech(tau) hit zero or overflowed on the sampled contour"),
+    "wavefunction-gpt-1e70": (["wavefunction", "--family", "poschl-teller", "--v1", "9.75",
+                               "--v2", "6", "--x-min=0", "--x-max=1e70", "--n-points", "16"],
+                              "sinh(tau/2) hit zero or overflowed on the sampled contour"),
     # H's entries are finite (the largest ~3e173), its Frobenius norm is not
-    "verify-morse-ab-norm-overflow": ["verify", "--family", "morse-ab", "--A", "1", "--B", "1",
-                                      "--gamma-p", "3", "--delta-p", "5", "--x-min=-200",
-                                      "--n-points", "400"],
+    "verify-morse-ab-norm-overflow": (["verify", "--family", "morse-ab", "--A", "1", "--B", "1",
+                                       "--gamma-p", "3", "--delta-p", "5", "--x-min=-200",
+                                       "--n-points", "400"],
+                                      "the Frobenius norm of the operator overflows (largest "
+                                      "entry 3.22e+173)"),
     # flags the call would not read
-    "coupling-of-another-family": ["analyze", "--family", "scarf2", "--v1", "1", "--v2", "2",
-                                   "--A", "5"],
-    "from-file-with-n-points": ["verify", *SCARF, "--from-file", "{tmp}/missing.csv",
-                                "--n-points", "3"],
+    "coupling-of-another-family": (["analyze", "--family", "scarf2", "--v1", "1", "--v2", "2",
+                                    "--A", "5"],
+                                   "analyze --family scarf2 does not read --A"),
+    "from-file-with-n-points": (["verify", *SCARF, "--from-file", "{tmp}/missing.csv",
+                                 "--n-points", "3"],
+                                "verify --from-file does not read --n-points"),
     # an empty path is a given --from-file, not plain verify on the default grid
-    "from-file-empty-path": ["verify", *SCARF, "--from-file", ""],
+    "from-file-empty-path": (["verify", *SCARF, "--from-file", ""],
+                             "cannot read : FileNotFoundError: [Errno 2] No such file or "
+                             "directory: ''"),
 }
 
 
@@ -537,7 +619,9 @@ CONTRACT_SECONDS = 5.0
 
 
 def run_contract(argv, codes, seconds=CONTRACT_SECONDS):
-    """main(argv) under the contract above, ending in one of codes; returns (code, stdout)."""
+    """main(argv) under the contract above, ending in one of codes.
+
+    Returns (code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
@@ -550,26 +634,30 @@ def run_contract(argv, codes, seconds=CONTRACT_SECONDS):
         assert err == ""
     elif err or code != EXIT_NO_BRANCH:
         assert err.startswith("error: ") and err.count("\n") == 1
-    return code, out.getvalue()
+    return code, out.getvalue(), err
 
 
 def assert_rejected(argv):
-    """main(argv) exits 2 within 1 s under the contract, with valid JSON if it writes any."""
-    _, out = run_contract(argv, {EXIT_INVALID}, seconds=1.0)
+    """main(argv) exits 2 within 1 s under the contract, with valid JSON if it
+    writes any; returns its stderr."""
+    _, out, err = run_contract(argv, {EXIT_INVALID}, seconds=1.0)
     if out.strip():
         json.loads(out, parse_constant=_reject_constant)
+    return err
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exit_2(tmp_path, argv):
+@pytest.mark.parametrize("argv, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_2(tmp_path, argv, message):
+    # the message pins which check rejected the call
     for name, text in PROFILES.items():
         (tmp_path / name).write_text(text, newline="")
-    assert_rejected([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    err = assert_rejected([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert err == f"error: {message}\n".replace("{tmp}", str(tmp_path))
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(PROFILES)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (BAD_INPUTS["coupling-of-another-family"], "analyze --family scarf2 does not read --A"),
+    (BAD_INPUTS["coupling-of-another-family"][0], "analyze --family scarf2 does not read --A"),
     (["verify", *SCARF, "--from-file", "missing.csv", "--x-min=-3", "--tol", "1"],
      "verify --from-file does not read --x-min, --tol"),
     # no level (epsilon=-1, n=7) exists: plain verify never picks a level
@@ -618,7 +706,7 @@ def test_profile_at_the_cap_is_read(tmp_path):
     # one row fewer than over_cap.csv is read and verified: psi = 1 is no eigenfunction
     path = tmp_path / "at_cap.csv"
     path.write_text(PROFILE_HEADER + "".join(OVER_CAP_ROWS[:-1]), newline="")
-    code, out = run_contract(["verify", *SCARF, "--from-file", str(path)], {EXIT_UNMATCHED})
+    code, out, _ = run_contract(["verify", *SCARF, "--from-file", str(path)], {EXIT_UNMATCHED})
     assert out.splitlines()[1].endswith(",false")
 
 
@@ -908,7 +996,7 @@ def coupling_argv(data, family, skip=None):
 @given(st.sampled_from(list(EXAMPLES)), st.data())
 def test_analyze_contract(family, data):
     argv = ["analyze", "--family", family, *coupling_argv(data, family)]
-    code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
+    code, out, _ = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
     if code != EXIT_INVALID:
         json.loads(out, parse_constant=_reject_constant)
 
@@ -924,7 +1012,7 @@ def test_scan_contract(family, data):
     argv = ["scan", "--family", family,
             *coupling_argv(data, family, families.FAMILIES[family].sweep_field),
             f"--start={start!r}", f"--stop={stop!r}", f"--step={step!r}"]
-    code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
+    code, out, _ = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
     if code == EXIT_OK:
         assert "nan" not in out and "inf" not in out
 
@@ -945,7 +1033,7 @@ def level_argv(data):
 def test_wavefunction_contract(family, data):
     argv = ["wavefunction", *family_argv(EXAMPLES[family]), *box_argv(data, 2000),
             *level_argv(data)]
-    code, out = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
+    code, out, _ = run_contract(argv, {EXIT_OK, EXIT_INVALID, EXIT_NO_BRANCH})
     if code == EXIT_OK:
         assert "nan" not in out and "inf" not in out
 

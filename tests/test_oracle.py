@@ -1,4 +1,4 @@
-"""Finite-difference oracle: discretization, contour and dense eigensolves, level matching."""
+"""Finite-difference oracle: discretization, disc and dense eigensolves, level matching."""
 
 import math
 import tracemalloc
@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -17,6 +17,7 @@ from sl2spectra import (
     MorseABSpec,
     MorseSpec,
     NoConvergence,
+    NoRegularBranch,
     PoschlTellerSpec,
     ScarfSpec,
     boundary_decay,
@@ -34,22 +35,23 @@ from sl2spectra.oracle import (
     DEFAULT_MATCH_TOL,
     DENSE_CAP,
     Eigendata,
-    Ellipse,
+    _circles,
     _dense_form,
-    _filtered_probes,
     _inverse_steps,
+    _nodes,
     _polish,
-    _pt_symmetric,
     banded_form,
     banded_matvec,
-    contour,
-    contour_eigvals,
     discretize,
     eigvals_complex,
 )
 from sl2spectra.spectrum import EigenLevel, enumerate_levels
 
-from dense_reference import dense_eigvals, eig_complex, pt_real_form, solve_banded_vector
+from dense_reference import dense_eigvals, eig_complex, solve_banded_vector
+
+# Half-width of the window about each closed level that the split tests read:
+# the E = -0.25 split pair sits 1.07e-3 from -0.25 on the pinned box.
+SPLIT_WINDOW = 5e-3
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,8 @@ def scarf96_box18():
     spec = ScarfSpec(9.75, 6.0)
     grid = Grid(-18.0, 18.0, 1501)
     closed = [lv for sol in solve(spec) for lv in enumerate_levels(sol)]
-    eigendata = Eigendata.from_bands(banded_form(spec.potential, grid))
+    ab = banded_form(spec.potential, grid)
+    eigendata = Eigendata.from_bands(ab, [lv.energy for lv in closed], SPLIT_WINDOW)
     return spec, grid, closed, eigendata
 
 
@@ -127,18 +130,17 @@ class TestDiscretize:
         assert peak < 1 << 20
 
     def test_free_particle_box(self):
-        # Dirichlet box [-1, 1]: E_k = (k pi / 2)^2
-        # V = 0 puts no eigenvalue inside the contour, so this checks the
-        # dense reference
+        # Dirichlet box [-1, 1]: E_k = (k pi / 2)^2, each alone in its disc
         ab = banded_form(lambda x: np.zeros_like(x), Grid(-1.0, 1.0, 401))
-        w = np.sort(dense_eigvals(ab).real)
-        for k in (1, 2, 3):
-            assert abs(w[k - 1] - (k * math.pi / 2) ** 2) < 1e-4
+        exact = [(k * math.pi / 2) ** 2 for k in (1, 2, 3)]
+        w = Eigendata.from_bands(ab, exact, 1e-3).values
+        assert w.size == 3
+        assert np.max(np.abs(w - exact)) < 1e-4
 
     def test_hermitian_limit_real_spectrum(self):
         # real Scarf well (v2 -> 0): eigenvalues must stay on the real axis
         ab = banded_form(lambda x: -9.75 / np.cosh(x) ** 2, Grid(-12.0, 12.0, 600))
-        w = Eigendata.from_bands(ab).values
+        w = dense_eigvals(ab)
         assert np.max(np.abs(w.imag)) < 1e-10
 
     def test_accepts_spec_and_rejects_nonfinite(self):
@@ -189,52 +191,27 @@ class TestEig:
         w2, _ = eig_complex(a.copy())
         assert np.max(np.abs(w1 - w2)) < 1e-10
 
-    @staticmethod
-    def _from_bands_peak(spec, m):
+    def test_complex_solve_in_place(self):
+        # the disc solve holds A0 and its probes, O(N p) with p = 16 at the
+        # E = -0.25 crossing disc: it measures 1.06 MB, 18 % of one complex
+        # N x N block, so no such block is traced
+        spec, m = ScarfSpec(9.75, 6.0), 600
         ab = banded_form(spec.potential, Grid(*spec.box, m + 2))
         tracemalloc.start()
         try:
-            Eigendata.from_bands(ab)
+            Eigendata.from_bands(ab, _closed_energies(spec), DEFAULT_MATCH_TOL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak
-
-    def test_complex_solve_in_place(self):
-        # the complex contour solve holds A0 and its probes, O(N p) with p = 192
-        # here (~130 eigenvalues inside the contour): it measures 3.3 MB, 57 %
-        # of one complex N x N block, so no such block is traced
-        spec, m = MorseABSpec(1.0, 1.0, 3.0, 5.0), 600
-        assert not _pt_check(_fd_bands(spec, n_points=m + 2))
-        assert self._from_bands_peak(spec, m) <= 0.75 * 16 * m * m
-
-    def test_real_form_solved_in_place(self):
-        # the real-form contour solve holds a real A0 with p = 48: it measures
-        # 0.84 MB, 15 % of one complex N x N block, so not even a real N x N
-        # copy (50 %) is traced
-        spec, m = ScarfSpec(9.75, 6.0), 600
-        assert _pt_check(_fd_bands(spec, n_points=m + 2))
-        assert self._from_bands_peak(spec, m) <= 0.25 * 16 * m * m
-
-    def test_real_form_bitwise_equal_to_explicit_copy(self):
-        # the FD bands of Scarf II (only the diagonal is complex), and random
-        # PT-symmetric bands whose off-diagonals are complex too
-        rng = np.random.default_rng(11)
-        noise = _random_bands(rng, 300)
-        for ab in (_fd_bands(ScarfSpec(9.75, 6.0), n_points=600), noise + noise[::-1, ::-1].conj()):
-            assert _pt_check(ab)
-            h = _dense_form(ab)
-            w_ref = scipy.linalg.eigvals(h.real - h.imag[::-1, :])
-            w_ref = w_ref[np.lexsort((w_ref.imag, w_ref.real))]
-            assert np.array_equal(dense_eigvals(ab), w_ref)
+        assert peak <= 0.25 * 16 * m * m
 
     def test_lazy_vectors_match_dense_vectors(self):
         spec = ScarfSpec(9.75, 6.0)
         grid = Grid(-12.0, 12.0, 500)
         w_full, v_full = eig_complex(discretize(spec.potential, grid))
-        data = Eigendata.from_bands(banded_form(spec.potential, grid))
-        idx = int(np.argmin(np.abs(data.values - (-6.25))))
-        lazy = data.vector(idx)
+        data = Eigendata.from_bands(banded_form(spec.potential, grid), [-6.25], DEFAULT_MATCH_TOL)
+        assert data.values.size == 1
+        lazy = data.vector(0)
         dense = v_full[:, int(np.argmin(np.abs(w_full - (-6.25))))]
         overlap = abs(np.vdot(lazy, dense)) ** 2
         assert overlap / (np.vdot(lazy, lazy).real * np.vdot(dense, dense).real) > 1 - 1e-10
@@ -244,8 +221,7 @@ class TestEig:
         # one LU of lam - H and three solves against three LUs of H - lam: the
         # factors are exact negatives, so the vectors differ by sign alone
         ab = _fd_bands(spec)
-        assert _pt_check(ab) == isinstance(spec, ScarfSpec)
-        data = Eigendata.from_bands(ab)
+        data = Eigendata.from_bands(ab, _closed_energies(spec), DISC_RADIUS)
         assert data.values.size > 0
         for i, lam in enumerate(data.values):
             assert np.array_equal(np.abs(data.vector(i)), np.abs(solve_banded_vector(ab, lam)))
@@ -260,106 +236,80 @@ class TestEig:
             Eigendata(np.array([lam], dtype=complex), bands=ab).vector(0)
 
 
-# PT-symmetric specs on boxes symmetric about 0: P conj(H) P = H holds.
-PT_CASES = {
-    "scarf-default-box": (ScarfSpec(9.75, 6.0), None),
-    "scarf-box15": (ScarfSpec(9.75, 6.0), (-15.0, 15.0)),
-    "scarf-broken": (ScarfSpec(0.0, 5.0), None),
-    "gpt-c0": (PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=math.pi / 8), None),
-}
-
-
 def _fd_bands(spec, box=None, n_points=300):
     return banded_form(spec.potential, Grid(*(box or spec.box), n_points))
 
 
-def _random_bands(rng, m):
-    """Random complex bands with zeros in the corners that no row reaches."""
-    ab = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
-    ab[0, :2] = ab[1, 0] = ab[3, -1] = ab[4, -2:] = 0.0
-    return ab
+def _closed_energies(spec):
+    return [lv.energy for sol in solve(spec) for lv in enumerate_levels(sol)]
 
 
-def _pt_check(ab):
-    """The band PT check of ab, asserted to agree with the dense reference check."""
-    verdict = _pt_symmetric(ab)
-    assert pt_real_form(_dense_form(ab)) == verdict
-    return verdict
+# Disc radius of the N = 300 disc tests: each closed level's disc holds its
+# FD eigenvalue and some box states, the discs about -2.25 and -0.25 meet,
+# and so do those of the broken-phase pair.
+DISC_RADIUS = 1.25
+DISC_CASES = {
+    "scarf-default-box": (ScarfSpec(9.75, 6.0), None),
+    "scarf-box15": (ScarfSpec(9.75, 6.0), (-15.0, 15.0)),
+    "scarf-broken": (ScarfSpec(0.0, 5.0), None),
+    "gpt-c0": (PoschlTellerSpec(9.75, 6.0, c=0.0, contour_gamma=math.pi / 8), None),
+    "gpt-c0.5": (PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8), None),
+    "morse-ab": (MorseABSpec(1.0, 1.0, 3.0, 5.0), None),
+}
 
 
-class TestRealForm:
-    @pytest.mark.parametrize("case", PT_CASES)
-    def test_accepts_pt_cases(self, case):
-        assert _pt_check(_fd_bands(*PT_CASES[case]))
+class TestDiscSolve:
+    @pytest.mark.parametrize("case", DISC_CASES)
+    def test_disc_returns_the_dense_eigenvalues_inside(self, case):
+        # every disc alone, then all of them at once, whose circles merge:
+        # the disc solve returns the dense eigenvalues inside, each once, to
+        # 1e-10 ||H||_F
+        spec, box = DISC_CASES[case]
+        ab = _fd_bands(spec, box)
+        w_ref = dense_eigvals(ab)
+        centres = _closed_energies(spec)
+        for group in [[c] for c in centres] + [centres]:
+            circles = _circles(group, DISC_RADIUS)
+            dist = np.stack([np.abs(w_ref - c) / r for c, r in circles])
+            assert np.all(np.abs(dist - 1.0) > 1e-3)  # no eigenvalue on a circle
+            inside = w_ref[np.any(dist < 1.0, axis=0)]
+            w = Eigendata.from_bands(ab, group, DISC_RADIUS).values
+            assert w.size == inside.size > 0
+            cost = np.abs(w[:, None] - inside[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() < 1e-10 * np.linalg.norm(ab)
 
-    @pytest.mark.parametrize("case", PT_CASES)
-    def test_spectrum_matches_complex_path(self, case):
-        ab = _fd_bands(*PT_CASES[case])
-        scale = np.linalg.norm(ab)
-        w_real = dense_eigvals(ab)
-        w_ref, _ = eig_complex(_dense_form(ab))
-        # The two solvers split nearly equal real parts differently, so their
-        # (re, im) orders can differ; compare the spectra one-to-one instead.
-        dist = np.abs(w_real[:, None] - w_ref[None, :])
-        rows, cols = linear_sum_assignment(dist)
-        assert dist[rows, cols].max() < 1e-10 * scale
+    def test_disc_solve_is_scale_free(self):
+        # on a +-1e70 box at 100 points the ten lowest box levels lie near
+        # 1e-140, below the largest entry under which xGEEV rescales a matrix
+        # and loses its spectrum; the projected matrix, in each circle's own
+        # coordinates, still gives all ten
+        grid = Grid(-1e70, 1e70, 100)
+        ab = banded_form(ScarfSpec(9.75, 6.0).potential, grid)
+        h2 = grid.spacing**2
+        ref = dense_eigvals(ab * h2)  # the same operator scaled by h^2
+        ref = ref[np.argsort(np.abs(ref))][:10] / h2
+        gap = min(abs(a - b) for i, a in enumerate(ref) for b in ref[:i])
+        w = Eigendata.from_bands(ab, ref, 0.25 * gap).values
+        assert w.size == 10
+        assert max(np.min(np.abs(w - e)) / abs(e) for e in ref) < 1e-10
 
-    @pytest.mark.parametrize("case", PT_CASES)
-    def test_spectrum_exactly_closed_under_conjugation(self, case):
-        w = dense_eigvals(_fd_bands(*PT_CASES[case]))
-        assert np.any(w.imag != 0.0)
-        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+    def test_meeting_discs_merge_into_one_circle(self):
+        # -6.25 stays alone; the -2.25 and -0.25 discs meet and merge into the
+        # smallest circle that holds both, which holds the second -0.25 disc
+        assert _circles([-6.25, -2.25, -0.25, -0.25], 1.25) == [(-6.25, 1.25), (-1.25, 2.25)]
 
-    @pytest.mark.parametrize("case", PT_CASES)
-    def test_contour_spectrum_exactly_closed_under_conjugation(self, case):
-        w = Eigendata.from_bands(_fd_bands(*PT_CASES[case])).values
-        assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
-        if case == "scarf-broken":  # its broken-phase pair lies inside the contour
-            assert np.any(w.imag != 0.0)
-
-    @pytest.mark.parametrize(
-        "ab",
-        [
-            *(_fd_bands(*PT_CASES[case]) for case in PT_CASES),
-            _fd_bands(MorseABSpec(1.0, 1.0, 3.0, 5.0)),
-            _fd_bands(PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8)),
-        ],
-        ids=[*PT_CASES, "morse-ab", "gpt-c0.5"],
-    )
-    def test_contour_spectrum_matches_complex_path(self, ab):
-        # inside the contour, the contour solve returns the complex dense
-        # spectrum one-to-one, to the same 1e-10 ||H||_F as the real form
-        gamma = contour(ab)
-        w = contour_eigvals(ab, gamma)
-        w_ref, _ = eig_complex(_dense_form(ab))
-        w_ref = w_ref[gamma.contains(w_ref)]
-        assert w.size == w_ref.size > 0
-        dist = np.abs(w[:, None] - w_ref[None, :])
-        rows, cols = linear_sum_assignment(dist)
-        assert dist[rows, cols].max() < 1e-10 * np.linalg.norm(ab)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [MorseABSpec(1.0, 1.0, 3.0, 5.0), PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8)],
-        ids=["morse-ab", "gpt-c0.5"],
-    )
-    def test_rejects_non_pt_specs(self, spec):
-        assert not _pt_check(_fd_bands(spec))
-
-    def test_rejects_random_matrix(self):
-        assert not _pt_check(_random_bands(np.random.default_rng(7), 50))
-
-    def test_rejects_perturbed_pt_matrix(self):
-        ab = _fd_bands(ScarfSpec(9.75, 6.0))
-        ab[1, 101] += 1e-8 * np.linalg.norm(ab)  # H[100, 101]
-        assert not _pt_check(ab)
-
-    def test_rejects_non_finite_matrix(self):
-        ab = np.zeros((5, 40), dtype=complex)
-        ab[2] = 1.0
-        ab[2, 3] = ab[2, 36] = np.inf  # P conj(H) P = H, but not to a finite norm
-        with np.errstate(invalid="ignore"):
-            assert not _pt_check(ab)
+    def test_row_with_an_empty_disc_reports_nan(self, scarf96_box18):
+        # -6.248 lies 2e-3 from the decaying ground eigenvalue, which the
+        # fixture's 5e-3 windows hold: outside the row's 1e-3 disc it is no
+        # candidate, and the row's own disc holds nothing
+        spec, grid, _, eigendata = scarf96_box18
+        level = EigenLevel(n=0, energy=-6.248 + 0j, epsilon=1)
+        ab = banded_form(spec.potential, grid)
+        for data in (eigendata, Eigendata.from_bands(ab, [level.energy], DEFAULT_MATCH_TOL)):
+            row = match_levels([level], data).rows[0]
+            assert not row.matched
+            assert math.isnan(row.e_numeric.real) and math.isnan(row.abs_error)
 
 
 class _GivenVectors(Eigendata):
@@ -405,7 +355,7 @@ class TestMatching:
         assert not report.all_matched
 
     def test_empty_eigendata_leaves_every_row_unmatched(self):
-        # a contour that holds no eigenvalue gives an Eigendata without values
+        # discs that hold no eigenvalue give an Eigendata without values
         data = Eigendata(np.empty(0, dtype=complex), bands=np.zeros((5, 64), dtype=complex))
         closed = [EigenLevel(n=n, energy=complex(e), epsilon=1) for n, e in enumerate((-6.25, -2.25))]
         report = match_levels(closed, data)
@@ -444,9 +394,11 @@ class TestMatching:
         ]
 
     def test_no_decaying_level_below_ground(self, scarf96_box18):
-        _, _, closed, eigendata = scarf96_box18
+        # read from the whole dense spectrum: the discs hold none below it
+        spec, grid, closed, _ = scarf96_box18
+        ab = banded_form(spec.potential, grid)
         floor = min(lv.energy.real for lv in closed)
-        assert self.deeper_decaying_levels(eigendata, floor) == []
+        assert self.deeper_decaying_levels(Eigendata(dense_eigvals(ab), bands=ab), floor) == []
 
     def test_degenerate_crossing_splits_under_truncation(self, scarf96_box18):
         # At v1=9.75, v2=6 the two branch series cross at E = -0.25; the level
@@ -485,25 +437,20 @@ CONTOUR_SPECS = st.one_of(
 )
 
 
-def _assert_contour_bound(ab, ref, vector, tol):
-    """The contour of ab holds every decaying dense eigenvalue ref[i] (vector(i)
-    passes the gate) up to the right end of the padded rectangle
-    [lo, hi] x [-M, M] it encloses, and the contour solve returns each of
-    them to tol[i].
+def _assert_contour_bound(closed, ab, ref, vector, tol, radius):
+    """The disc solve about the closed levels, at radius, returns every
+    decaying dense eigenvalue ref[i] (vector(i) passes the gate) that lies
+    within radius / 2 of a closed level, to tol[i].
 
-    Past that end the decay gate does not separate bound from box states:
-    the complex box continuum of Morse passes it up to Re E ~ 260 at N = 300
-    (MorseSpec(0.5, 2, 3, 1.5): 122 decaying eigenvalues), and so do lattice
-    states at the top of the band (Scarf(0, 5): 297 +- 1.1i).  A contour
-    holding them would hold nearly the whole spectrum.
+    The half radius keeps the check off the circles, where the trapezoidal
+    filter neither keeps nor drops an eigenvalue.
     """
-    gamma = contour(ab)
-    w = contour_eigvals(ab, gamma)
-    right = gamma.center + gamma.a / math.sqrt(2.0)
-    for i in np.nonzero(ref.real <= right)[0]:
-        if boundary_decay(vector(int(i))) <= DEFAULT_DECAY_GATE:
-            assert gamma.contains(ref[i]), (ref[i], gamma)
-            assert np.abs(w - ref[i]).min() <= tol[i], ref[i]
+    closed = np.array(closed, dtype=complex)
+    w = Eigendata.from_bands(ab, closed, radius).values
+    for i in range(ref.size):
+        if np.abs(ref[i] - closed).min() <= radius / 2:
+            if boundary_decay(vector(i)) <= DEFAULT_DECAY_GATE:
+                assert w.size and np.abs(w - ref[i]).min() <= tol[i], ref[i]
 
 
 class TestContourBound:
@@ -518,18 +465,27 @@ class TestContourBound:
         # 1e-7, plus the dense reference's own first-order error
         # cond(lambda) eps ||H||_F: the box continuum of Morse has condition
         # numbers up to ~1e5, where that term passes 1e-7
+        try:
+            closed = _closed_energies(spec)
+        except NoRegularBranch:
+            closed = []
+        if not closed:
+            reject()  # no closed level, so no disc
         ab = banded_form(spec.potential, default_grid(spec, 300))
         ref, left, right = scipy.linalg.eig(_dense_form(ab), left=True, right=True)
         cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))  # unit-norm columns
         tol = 1e-7 + cond * np.finfo(float).eps * np.linalg.norm(ab)
-        _assert_contour_bound(ab, ref, lambda i: right[:, i], tol)
+        _assert_contour_bound(closed, ab, ref, lambda i: right[:, i], tol, DISC_RADIUS)
 
     def test_pinned_box_inside_contour(self):
-        # criterion 1's box: dense eigenvalues, vectors by inverse iteration
-        ab = banded_form(ScarfSpec(9.75, 6.0).potential, Grid(-15.0, 15.0, 3000))
+        # criterion 1's box: dense eigenvalues, vectors by inverse iteration;
+        # the half window holds the split pair 1.07e-3 from -0.25
+        spec = ScarfSpec(9.75, 6.0)
+        ab = banded_form(spec.potential, Grid(-15.0, 15.0, 3000))
         reference = Eigendata(dense_eigvals(ab), bands=ab)
         tol = np.full(reference.values.size, 1e-7)
-        _assert_contour_bound(ab, reference.values, reference.vector, tol)
+        closed = _closed_energies(spec)
+        _assert_contour_bound(closed, ab, reference.values, reference.vector, tol, SPLIT_WINDOW)
 
 
 class TestResidual:
@@ -593,14 +549,12 @@ class TestSolverRaisePaths:
             eigvals_complex(np.eye(4, dtype=complex))
 
     def test_contour_node_on_an_eigenvalue(self):
-        # H = z0 * I with z0 the first node of gamma: z0 - H is exactly singular
-        gamma = Ellipse(0.0, 1.0, 1.0)
-        z0 = gamma.node(0)[0]
+        # H = z0 * I with z0 the first node of the unit circle: z0 - H is exactly singular
+        z0 = _nodes(0j, 1.0)[0][0]
         ab = np.zeros((5, 40), dtype=complex)
         ab[2] = z0
-        probes = np.ones((40, 2), dtype=np.float32)
         with pytest.raises(NoConvergence, match=r"contour node .* is an eigenvalue of H"):
-            _filtered_probes(ab, gamma, probes, real=False)
+            Eigendata.from_bands(ab, [0j], 1.0)
 
     def test_polish_at_a_singular_shift(self):
         # H = I and lam = 1: lam - H is exactly singular, so no inverse step
