@@ -4,87 +4,37 @@ Closed-form solvers for the complexified Scarf II, generalized Poschl-Teller
 and Morse families, their ladder-generated eigenfunctions, and an
 independent finite-difference oracle that verifies every emitted level and
 profile.
+
+Each public name is imported from its module the first time it is read
+(PEP 562), so `import sl2spectra` loads neither numpy nor the oracle.
 """
 
-from .algebra import (
-    GridFunction,
-    PotentialClass,
-    RealizationParams,
-    apply_ladder,
-    energy_level,
-    ground_state,
-    tower_state,
-)
-from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
-from .families import (
-    AlgebraicSolution,
-    BranchKind,
-    MorseABSpec,
-    MorseSpec,
-    PoschlTellerSpec,
-    ScarfSpec,
-    morse_from_ab,
-    solve,
-)
-from .oracle import (
-    Eigendata,
-    Grid,
-    MatchReport,
-    boundary_decay,
-    default_grid,
-    match_levels,
-    residual,
-    verify_spectrum,
-)
-from .spectrum import (
-    Classification,
-    EigenLevel,
-    PhaseDiagramRow,
-    SpectrumReport,
-    analyze,
-    classify,
-    enumerate_levels,
-    is_pt_symmetric,
-    scan_threshold,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraicSolution",
-    "BranchKind",
-    "Classification",
-    "EigenLevel",
-    "Eigendata",
-    "Grid",
-    "GridFunction",
-    "InvalidSpec",
-    "MatchReport",
-    "MorseABSpec",
-    "MorseSpec",
-    "NoConvergence",
-    "NoRegularBranch",
-    "PhaseDiagramRow",
-    "PoschlTellerSpec",
-    "PotentialClass",
-    "RealizationParams",
-    "ScarfSpec",
-    "SpectraError",
-    "SpectrumReport",
-    "analyze",
-    "apply_ladder",
-    "boundary_decay",
-    "classify",
-    "default_grid",
-    "energy_level",
-    "enumerate_levels",
-    "ground_state",
-    "is_pt_symmetric",
-    "match_levels",
-    "morse_from_ab",
-    "residual",
-    "scan_threshold",
-    "solve",
-    "tower_state",
-    "verify_spectrum",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "algebra": ("GridFunction", "PotentialClass", "RealizationParams", "apply_ladder",
+                "energy_level", "ground_state", "tower_state"),
+    "errors": ("InvalidSpec", "NoConvergence", "NoRegularBranch", "SpectraError"),
+    "families": ("AlgebraicSolution", "BranchKind", "MorseABSpec", "MorseSpec",
+                 "PoschlTellerSpec", "ScarfSpec", "morse_from_ab", "solve"),
+    "oracle": ("Eigendata", "Grid", "MatchReport", "boundary_decay", "default_grid",
+               "match_levels", "residual", "verify_spectrum"),
+    "spectrum": ("Classification", "EigenLevel", "PhaseDiagramRow", "SpectrumReport", "analyze",
+                 "classify", "enumerate_levels", "is_pt_symmetric", "scan_threshold"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -26,15 +26,18 @@ which the potential and the ladder read.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidSpec
 
-GAMMA_MIN = -np.pi / 4
-GAMMA_MAX = np.pi / 4
+if TYPE_CHECKING:  # numpy is imported where a grid is evaluated
+    import numpy as np
+
+GAMMA_MIN = -math.pi / 4
+GAMMA_MAX = math.pi / 4
 SINGULAR_EPS = 1e-12
 # Coarsest grid spacing the finite-difference stencils accept.
 MAX_GRID_SPACING = 0.1
@@ -77,6 +80,8 @@ class RealizationParams:
         return complex(self.b_re, self.b_im)
 
     def tau(self, x):
+        import numpy as np
+
         return np.asarray(x, dtype=complex) - self.c - 1j * self.gamma
 
     def f(self, x):
@@ -100,6 +105,8 @@ class RealizationParams:
 
     def _fg(self, x):
         """(f, g) on x, from one tau and, for class II, one sinh(tau) and singularity check."""
+        import numpy as np
+
         cls = self.potential_class
         if cls is PotentialClass.III_UPPER:
             x = np.asarray(x, dtype=float)
@@ -129,6 +136,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.xs = np.asarray(self.xs, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
         if self.xs.ndim != 1 or self.xs.shape != self.values.shape:
@@ -142,6 +151,8 @@ class GridFunction:
 
     def require_uniform(self, min_points: int):
         """Raise InvalidSpec unless xs is uniform, MAX_GRID_SPACING fine, min_points long."""
+        import numpy as np
+
         dx = np.diff(self.xs)
         if self.xs.size < min_points:
             raise InvalidSpec(f"need at least {min_points} points, got {self.xs.size}")
@@ -160,6 +171,8 @@ def _detect_branch_cut(w: np.ndarray, what: str):
     adjacent samples; smooth evolution on a reasonable grid stays well below
     pi.  Crossings are reported, never silently unwrapped.
     """
+    import numpy as np
+
     if np.any(~np.isfinite(w)) or np.any(w == 0):
         raise InvalidSpec(f"{what} hit zero or overflowed on the sampled contour")
     jumps = np.abs(np.diff(np.angle(w)))
@@ -181,6 +194,8 @@ def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
     this routine only refuses detectable branch-cut crossings and a profile
     that is not finite on xs (InvalidSpec, without a numpy warning).
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     m = complex(m)
 
@@ -214,6 +229,8 @@ def ground_state(r: RealizationParams, m: complex, xs) -> GridFunction:
 
 def _diff1(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative on a uniform grid, one-sided at edges."""
+    import numpy as np
+
     v = values
     d = np.empty_like(v)
     d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
@@ -231,6 +248,8 @@ def apply_ladder(psi: GridFunction, m: complex, r: RealizationParams) -> GridFun
     edges), so the output keeps the input's grid.  Raising an eigenfunction
     of (V_m, E) yields an (unnormalized) eigenfunction of (V_{m+1}, E).
     """
+    import numpy as np
+
     psi.require_uniform(min_points=5)
     m = complex(m)
     dpsi = _diff1(psi.values, psi.spacing)
@@ -247,6 +266,8 @@ def tower_state(r: RealizationParams, m: complex, n: int, xs) -> GridFunction:
     unnormalized.  A profile that is not finite on xs raises InvalidSpec,
     without a numpy warning.
     """
+    import numpy as np
+
     if n < 0:
         raise InvalidSpec("n must be non-negative")
     m = complex(m)

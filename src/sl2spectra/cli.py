@@ -28,12 +28,14 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import families, oracle, spectrum
+from . import families, spectrum
 from .algebra import GridFunction, tower_state
 from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
+
+if TYPE_CHECKING:  # verify and wavefunction import the oracle, and numpy with it
+    from . import oracle
 
 # Largest `wavefunction` profile.  Each point becomes a ~60-byte CSV row whose
 # strings are all held until the document is written: 1e5 points take ~1 s and
@@ -63,7 +65,7 @@ class RunConfig:
     command: str
     spec: object
     grid: oracle.Grid | None = None
-    tol: float = oracle.DEFAULT_MATCH_TOL
+    tol: float | None = None
     epsilon: int = 1
     n: int = 0
     sweep: tuple[float, float, float] | None = None
@@ -207,6 +209,8 @@ def cmd_scan(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     if config.from_file is not None:
         return _verify_from_file(config)
+    from . import oracle
+
     report = oracle.verify_spectrum(config.spec, grid=config.grid, tol=config.tol)
     table = [
         [
@@ -256,6 +260,8 @@ def _read_profile(path: str) -> GridFunction:
                 im_psi.append(float(row["im_psi"]))
     except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+    import numpy as np
+
     columns = np.array([xs, re_psi, im_psi])
     if not np.isfinite(columns).all():
         raise InvalidSpec(f"{path} holds a non-finite x, re_psi or im_psi")
@@ -265,6 +271,8 @@ def _read_profile(path: str) -> GridFunction:
 def _verify_from_file(config: RunConfig) -> int:
     _, level = _level_for(config.spec, config.epsilon, config.n)
     psi = _read_profile(config.from_file)
+    from . import oracle
+
     res = oracle.residual(psi, config.spec.potential, level.energy)
     ok = res < oracle.DEFAULT_RESIDUAL_TOL
     _emit(
@@ -360,13 +368,15 @@ def config_from_args(args) -> RunConfig:
     if args.command == "scan":
         config.sweep = (args.start, args.stop, args.step)
     if "n_points" in read:  # wavefunction, and verify without --from-file
+        from . import oracle
+
         x_min, x_max = config.spec.box
         config.grid = oracle.Grid(given.get("x_min", x_min), given.get("x_max", x_max),
                                   given.get("n_points", oracle.DEFAULT_GRID_N))
-    if "tol" in given:
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise InvalidSpec(f"--tol must be finite and positive, got {args.tol}")
-        config.tol = args.tol
+    if "tol" in read:
+        config.tol = given.get("tol", oracle.DEFAULT_MATCH_TOL)
+        if not (math.isfinite(config.tol) and config.tol > 0):
+            raise InvalidSpec(f"--tol must be finite and positive, got {config.tol}")
     return config
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import ClassVar
 
-import numpy as np
-
 from .algebra import PotentialClass, RealizationParams
 from .errors import InvalidSpec, NoRegularBranch
 
@@ -128,6 +126,8 @@ class ScarfSpec(FamilySpec):
             raise InvalidSpec("Scarf II requires v2 != 0")
 
     def potential(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         sech = 1.0 / np.cosh(x)
         return -self.v1 * sech**2 - 1j * self.v2 * sech * np.tanh(x)
@@ -179,6 +179,8 @@ class PoschlTellerSpec(FamilySpec):
             raise InvalidSpec(f"contour_gamma must be nonzero in (-pi/4, pi/4), got {gamma}")
 
     def potential(self, x):
+        import numpy as np
+
         tau = np.asarray(x, dtype=complex) - self.c - 1j * self.contour_gamma
         # sinh(tau)**2 overflows from |Re tau| ~ 355 on, although V -> 0 there.
         # Past 350 V takes the form (4 v1 q - 2 v2 e^{-s} (1 + q)) / (1 - q)^2
@@ -242,6 +244,8 @@ class MorseSpec(FamilySpec):
             raise InvalidSpec("Morse couplings too large: the matching equations overflow")
 
     def potential(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return complex(self.v1r, self.v1i) * np.exp(-2 * x) - complex(
             self.v2r, self.v2i

@@ -71,6 +71,12 @@ RESIDUAL_EDGE_SKIP = 5
 # the relative rank cut of A0, and polish rounds per eigenvalue.
 DISC_NODES = 16
 DISC_PROBES = 8
+# Largest probe count.  Rounding noise in A0 about the near-defective
+# Scarf(9.75, 6) pair at E = -0.25 drives p to 256 on a default verify at a
+# few N near 3700 (9 of 833 grids sampled from N = 1600 to 4098), and to 64
+# in the tests; twice that bounds each N x p array, where a wide disc
+# (--tol 1000) would otherwise double p toward N.
+MAX_DISC_PROBES = 512
 RANK_TOL = 1e-14
 POLISH_ROUNDS = 2
 
@@ -322,7 +328,9 @@ def _circle_eigvals(ab: np.ndarray, centre: complex, radius: float) -> list[comp
     eigenvalues lie inside the circle.  A pivoted QR A0 P = Q R reveals its
     numerical rank, the count of |R_ii| above RANK_TOL times max(|R_00|, 1)
     (one eigenvalue inside gives a column of size ~1); p starts at
-    DISC_PROBES and doubles while the rank is p.  The first `rank` columns
+    DISC_PROBES and doubles while the rank is p; a circle whose filtered
+    block still has full rank at MAX_DISC_PROBES (and below N) raises
+    InvalidSpec.  The first `rank` columns
     of Q are an orthonormal basis U of the filtered subspace.  The projected
     matrix U* H U is Beyn's U* A1 W S^-1 from the SVD A0 = U S W*, since the
     trapezoidal weights sum to zero and so A1 = sum_j w_j z_j (z_j - H)^-1
@@ -351,6 +359,11 @@ def _circle_eigvals(ab: np.ndarray, centre: complex, radius: float) -> list[comp
         rank = int(np.count_nonzero(diag > RANK_TOL * max(diag[0], 1.0)))
         if rank < p or p == m:
             break
+        if p >= MAX_DISC_PROBES:
+            raise InvalidSpec(
+                f"circle |z - ({centre:.6g})| < {radius:.6g} holds {p} or more eigenvalues, "
+                "the most the disc solve takes (the match tolerance sets its radius)"
+            )
         p = min(2 * p, m)
     if rank == 0:
         return []

@@ -593,6 +593,12 @@ BAD_INPUTS = {
                                        "--n-points", "400"],
                                       "the Frobenius norm of the operator overflows (largest "
                                       "entry 3.22e+173)"),
+    # a --tol disc about the whole spectrum: the disc solve stops doubling its
+    # probes at oracle.MAX_DISC_PROBES, which is below the 518 interior points
+    "verify-tol-disc-over-probe-cap": (["verify", *SCARF, "--n-points", "520", "--tol", "1000"],
+                                       "circle |z - (-3.25+0j)| < 1003 holds 512 or more "
+                                       "eigenvalues, the most the disc solve takes (the match "
+                                       "tolerance sets its radius)"),
     # flags the call would not read
     "coupling-of-another-family": (["analyze", "--family", "scarf2", "--v1", "1", "--v2", "2",
                                     "--A", "5"],

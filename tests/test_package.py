@@ -2,24 +2,81 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import sl2spectra
 from sl2spectra import cli
 
-WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse(Path(sl2spectra.__file__).read_text(encoding="utf-8"))
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert sorted(imported) == sorted(sl2spectra.__all__)
+    # __all__ is the table's 36 names, each read on first use from the module
+    # the table names, which defines it
+    assert sl2spectra.__all__ == sorted(sl2spectra._MODULE_OF)
+    assert len(sl2spectra.__all__) == 36
+    for name in sl2spectra.__all__:
+        module = importlib.import_module(f"sl2spectra.{sl2spectra._MODULE_OF[name]}")
+        assert getattr(sl2spectra, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__, name
+    assert set(sl2spectra.__all__) <= set(dir(sl2spectra))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sl2spectra.no_such_name
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import sl2spectra
+from sl2spectra import cli
+
+scarf = ["--family", "scarf2", "--v1", "9.75", "--v2", "6"]
+loaded = lambda: [name for name in ("numpy", "sl2spectra.oracle") if name in sys.modules]
+out = {"loaded_after_import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out["closed_form_exits"] = [cli.main(argv) for argv in (
+        ["analyze", *scarf],
+        ["scan", "--family", "scarf2", "--v1", "1", "--start", "0.1", "--stop", "2.5",
+         "--step", "0.05"],
+        ["analyze", "--family", "scarf2", "--v1", "9.75", "--v2", "nan"],
+        ["verify", *scarf, "--from-file", "missing.csv"],
+        ["analyze", *scarf, "--A", "5"],
+    )]
+    out["loaded_after_closed_form"] = loaded()
+    out["wavefunction_exit"] = cli.main(["wavefunction", *scarf, "--n-points", "401"])
+    out["loaded_after_wavefunction"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def _probe(code: str, cwd: Path):
+    """The JSON that code prints, run in a fresh interpreter in cwd."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_load_neither_numpy_nor_the_oracle(tmp_path):
+    out = _probe(IMPORT_PROBE, tmp_path)
+    assert out["loaded_after_import"] == []
+    # analyze, scan, a NaN coupling, a missing profile, an unread flag
+    assert out["closed_form_exits"] == [0, 0, 2, 2, 2]
+    assert out["loaded_after_closed_form"] == []
+    assert out["wavefunction_exit"] == 0
+    assert out["loaded_after_wavefunction"] == ["numpy", "sl2spectra.oracle"]
+    alone = "import json, sys, sl2spectra.oracle; print(json.dumps('numpy' in sys.modules))"
+    assert _probe(alone, tmp_path) is True
 
 
 def test_benchmark_traced_names_exist():
@@ -88,6 +145,8 @@ def test_every_raise_is_the_error_of_an_exit_code():
                 where = f"{path.stem}.{owner}"
                 if where == "families.AlgebraicSolution.__post_init__" and name == "ValueError":
                     invariants.append(node)
+                elif where == "__init__.__getattr__" and name == "AttributeError":
+                    continue  # PEP 562: the package has no such attribute
                 else:
                     stray.append(f"{where}:{node.lineno} raises {name}")
     assert stray == []
