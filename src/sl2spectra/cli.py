@@ -37,9 +37,9 @@ from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
 if TYPE_CHECKING:  # verify and wavefunction import the oracle, and numpy with it
     from . import oracle
 
-# Largest `wavefunction` profile.  Each point becomes a ~60-byte CSV row whose
-# strings are all held until the document is written: 1e5 points take ~1 s and
-# ~80 MB of RSS, 1e6 points ~7 s and ~520 MB.  A residual check accepts a
+# Largest `wavefunction` profile.  Each point becomes a ~60-byte CSV row, and
+# every row is held until the document is written: 1e5 points take ~0.3 s and
+# ~62 MB of peak RSS in process (2-core VM).  A residual check accepts a
 # spacing up to 0.1 (401 points on the default boxes), but the default-box
 # levels pass oracle.DEFAULT_RESIDUAL_TOL only near 0.01 (4001 points, which the
 # round trip uses).
@@ -52,10 +52,6 @@ EXIT_UNMATCHED = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_CODES = {InvalidSpec: EXIT_INVALID, NoRegularBranch: EXIT_NO_BRANCH,
               NoConvergence: EXIT_NO_CONVERGENCE}
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x) + 0.0:.15g}"  # +0.0 folds -0.0 into 0.0
 
 
 @dataclass
@@ -146,9 +142,11 @@ def _num(x: float) -> str:
     lacks repr's ".0".  The text is written through float.__repr__ where the
     two differ: exponent 15 (repr writes [1e15, 1e16) positionally), exponent
     308 (the value may round to inf), exponents below -307 (subnormals carry
-    fewer digits), nan and inf.
+    fewer digits), nan and inf.  A zero, -0.0 included, is always "0.0".
     """
-    text = f"{x + 0.0:.15g}"
+    if x == 0:
+        return "0.0"
+    text = f"{x:.15g}"
     if "e" in text:
         exponent = int(text[text.index("e") + 1:])
         if -308 < exponent < 308 and exponent != 15:
@@ -176,9 +174,15 @@ def _emit(text: str, output: str | None):
         raise InvalidSpec(f"cannot write {output}: {type(exc).__name__}: {exc}") from exc
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    """RFC 4180 text with CRLF row ends; no field written here needs quoting."""
-    return "".join(",".join(row) + "\r\n" for row in [header, *rows])
+def _csv_text(header: str, row_format: str, rows) -> str:
+    """RFC 4180 text: the header line, then each row tuple written by row_format.
+
+    Every line ends in CRLF, and no field written here needs quoting.  Each
+    %.15g field takes a float whose -0.0 is folded into 0.0 (x + 0.0), so a
+    zero is always written "0".
+    """
+    line = row_format + "\r\n"
+    return header + "\r\n" + "".join([line % row for row in rows])
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -194,13 +198,12 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def cmd_scan(config: RunConfig) -> int:
     start, stop, step = config.sweep
-    rows = spectrum.scan_threshold(config.spec, start, stop, step)
-    table = [
-        [_fmt(r.swept_value), str(r.real_level_count), str(r.complex_pair_count), r.classification.value]
-        for r in rows
+    rows = [
+        (r.swept_value + 0.0, r.real_level_count, r.complex_pair_count, r.classification.value)
+        for r in spectrum.scan_threshold(config.spec, start, stop, step)
     ]
     _emit(
-        _csv_text(["swept_value", "real_levels", "complex_pairs", "classification"], table),
+        _csv_text("swept_value,real_levels,complex_pairs,classification", "%.15g,%d,%d,%s", rows),
         config.output,
     )
     return EXIT_OK
@@ -212,22 +215,14 @@ def cmd_verify(config: RunConfig) -> int:
     from . import oracle
 
     report = oracle.verify_spectrum(config.spec, grid=config.grid, tol=config.tol)
-    table = [
-        [
-            _fmt(r.e_closed.real),
-            _fmt(r.e_closed.imag),
-            _fmt(r.e_numeric.real),
-            _fmt(r.e_numeric.imag),
-            _fmt(r.abs_error),
-            str(r.matched).lower(),
-        ]
+    rows = [
+        (r.e_closed.real + 0.0, r.e_closed.imag + 0.0, r.e_numeric.real + 0.0,
+         r.e_numeric.imag + 0.0, r.abs_error + 0.0, str(r.matched).lower())
         for r in report.rows
     ]
     _emit(
-        _csv_text(
-            ["E_closed_re", "E_closed_im", "E_numeric_re", "E_numeric_im", "abs_error", "matched"],
-            table,
-        ),
+        _csv_text("E_closed_re,E_closed_im,E_numeric_re,E_numeric_im,abs_error,matched",
+                  "%.15g,%.15g,%.15g,%.15g,%.15g,%s", rows),
         config.output,
     )
     return EXIT_OK if report.all_matched else EXIT_UNMATCHED
@@ -275,14 +270,18 @@ def _verify_from_file(config: RunConfig) -> int:
 
     res = oracle.residual(psi, config.spec.potential, level.energy)
     ok = res < oracle.DEFAULT_RESIDUAL_TOL
+    row = (level.energy.real + 0.0, level.energy.imag + 0.0, res + 0.0, str(ok).lower())
     _emit(
-        _csv_text(
-            ["E_closed_re", "E_closed_im", "residual", "matched"],
-            [[_fmt(level.energy.real), _fmt(level.energy.imag), _fmt(res), str(ok).lower()]],
-        ),
+        _csv_text("E_closed_re,E_closed_im,residual,matched", "%.15g,%.15g,%.15g,%s", [row]),
         config.output,
     )
     return EXIT_OK if ok else EXIT_UNMATCHED
+
+
+def _profile_text(xs, values) -> str:
+    """The `wavefunction` CSV of a profile: x, Re psi and Im psi, one format call a row."""
+    columns = [(column + 0.0).tolist() for column in (xs, values.real, values.imag)]
+    return _csv_text("x,re_psi,im_psi", "%.15g,%.15g,%.15g", zip(*columns))
 
 
 def cmd_wavefunction(config: RunConfig) -> int:
@@ -291,10 +290,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
         raise InvalidSpec(
             f"profile capped at {MAX_PROFILE_POINTS} points, got {config.grid.n_points}")
     psi = tower_state(sol.realization, sol.m, config.n, config.grid.points)
-    table = [
-        [_fmt(x), _fmt(v.real), _fmt(v.imag)] for x, v in zip(psi.xs, psi.values)
-    ]
-    _emit(_csv_text(["x", "re_psi", "im_psi"], table), config.output)
+    _emit(_profile_text(psi.xs, psi.values), config.output)
     return EXIT_OK
 
 

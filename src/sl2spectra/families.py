@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
@@ -269,7 +269,8 @@ class MorseSpec(FamilySpec):
         otherwise the complex levels come unpaired, the conjugate levels
         belonging to the conjugated potential.
         """
-        delta, nu, sp, sm = _morse_roots(self)
+        roots = _morse_roots(self)
+        delta, nu, sp, sm = roots
         root = complex(sp, nu * sm)  # sqrt(2 * v1), principal branch
         b = root / math.sqrt(2)
         numerator = root.conjugate() * complex(self.v2r, self.v2i)
@@ -280,7 +281,7 @@ class MorseSpec(FamilySpec):
             raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
         if not _strictly_above(b.real, 0.0):
             raise NoRegularBranch(f"Morse regularity fails: b_re = {b.real:.6g} is not > 0")
-        if morse_reality_residual(self) <= REG_TOL:
+        if _reality_residual(self, roots) <= REG_TOL:
             return [(1, BranchKind.REAL_SERIES, m_re, 0.0, b)]
         return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
 
@@ -392,7 +393,7 @@ def _scarf_pt_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
     multiplies by -i.
     """
     s, a = spec.v1 + 0.25, abs(spec.v2)
-    diff = spec.threshold_distance()
+    diff = a - s  # spec.threshold_distance()
     r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
     sq_p = 2.0 * math.sqrt(0.25 * s + 0.25 * a)  # sqrt(s + a), also where s + a overflows
     nu = 1.0 if spec.v2 > 0 else -1.0
@@ -421,7 +422,12 @@ def morse_reality_residual(spec: MorseSpec) -> float:
     sqrt(v1r + D) * v2i = nu * sqrt(-v1r + D) * v2r, with D = |v1r + i*v1i|
     and nu = sign(v1i); this returns |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
-    _, nu, sp, sm = _morse_roots(spec)
+    return _reality_residual(spec, _morse_roots(spec))
+
+
+def _reality_residual(spec: MorseSpec, roots: tuple[float, float, float, float]) -> float:
+    """morse_reality_residual from the spec's `_morse_roots`, which `branch_rows` holds already."""
+    _, nu, sp, sm = roots
     lhs = sp * spec.v2i
     rhs = nu * sm * spec.v2r
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -447,7 +453,10 @@ def solve(spec: FamilySpec) -> list[AlgebraicSolution]:
 
 
 def with_swept_value(spec: FamilySpec, value: float) -> FamilySpec:
-    """Return a copy of spec with its sweep field (`spec.sweep_field`) set to value."""
+    """A spec of spec's family with its sweep field (`spec.sweep_field`) set to value.
+
+    Built through the family's constructor, so each sample is validated.
+    """
     if spec.sweep_field is None:
         raise InvalidSpec(f"family {spec.family!r} has no sweep parameter")
-    return replace(spec, **{spec.sweep_field: value})
+    return type(spec)(**{**vars(spec), spec.sweep_field: value})

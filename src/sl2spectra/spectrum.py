@@ -82,8 +82,9 @@ def level_count(n_max_exclusive: float) -> int:
 
 def enumerate_levels(sol: AlgebraicSolution) -> list[EigenLevel]:
     """Emit levels n = 0, 1, ... below the branch bound, with their energies."""
+    m, epsilon = sol.m, sol.epsilon
     return [
-        EigenLevel(n=n, energy=energy_level(sol.m, n), epsilon=sol.epsilon)
+        EigenLevel(n=n, energy=energy_level(m, n), epsilon=epsilon)
         for n in range(level_count(sol.n_max_exclusive))
     ]
 
