@@ -237,7 +237,7 @@ class MorseSpec(FamilySpec):
         if self.v1i == 0:
             raise InvalidSpec("complexified Morse requires v1i != 0")
         # Bounds the denominator 2*sqrt(2)*D and every numerator of
-        # branch_rows and morse_reality_residual, so none of them overflows.
+        # branch_rows and reality_residual, so none of them overflows.
         delta, _, sp, sm = _morse_roots(self)
         v2_size = abs(self.v2r) + abs(self.v2i) + 1.0
         if not math.isfinite(max(1.0, 2 * math.sqrt(2) * delta) * max(1.0, sp + sm) * v2_size):
@@ -286,7 +286,7 @@ class MorseSpec(FamilySpec):
         return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
 
     def reality_residual(self) -> float:
-        return morse_reality_residual(self)
+        return _reality_residual(self, _morse_roots(self))
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ class MorseABSpec(FamilySpec):
         return morse_from_ab(self).branch_rows()
 
     def reality_residual(self) -> float:
-        return morse_reality_residual(morse_from_ab(self))
+        return morse_from_ab(self).reality_residual()
 
 
 FAMILIES: dict[str, type[FamilySpec]] = {
@@ -415,18 +415,14 @@ def _morse_roots(spec: MorseSpec) -> tuple[float, float, float, float]:
     return delta, nu, math.sqrt(delta + spec.v1r), math.sqrt(delta - spec.v1r)
 
 
-def morse_reality_residual(spec: MorseSpec) -> float:
-    """Relative residual of the real-spectrum condition for the Morse family.
+def _reality_residual(spec: MorseSpec, roots: tuple[float, float, float, float]) -> float:
+    """Relative residual of the real-spectrum condition for the Morse family,
+    from the spec's `_morse_roots`, which `branch_rows` holds already.
 
     The single Morse branch has a purely real level series exactly when
     sqrt(v1r + D) * v2i = nu * sqrt(-v1r + D) * v2r, with D = |v1r + i*v1i|
     and nu = sign(v1i); this returns |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
-    return _reality_residual(spec, _morse_roots(spec))
-
-
-def _reality_residual(spec: MorseSpec, roots: tuple[float, float, float, float]) -> float:
-    """morse_reality_residual from the spec's `_morse_roots`, which `branch_rows` holds already."""
     _, nu, sp, sm = roots
     lhs = sp * spec.v2i
     rhs = nu * sm * spec.v2r

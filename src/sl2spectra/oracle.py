@@ -11,15 +11,14 @@ realizations or ladder operators.
 
 `Eigendata.from_bands` merges the discs that meet into one circle each
 (`_circles`) and solves inside each circle by Beyn's contour-integral method
-(`_circle_eigvals`; Beyn, Linear Algebra Appl. 436, 3839 (2012); Sakurai &
+(`_circle_eigpairs`; Beyn, Linear Algebra Appl. 436, 3839 (2012); Sakurai &
 Sugiura, J. Comput. Appl. Math. 159, 119 (2003)): random probes filtered by
 a trapezoidal rule on the circle, one banded LU per node, a Rayleigh-Ritz
-step on the filtered subspace and a polish of each eigenvalue by inverse
-iteration on the bands.  Its working set is O(N p) for p probes, p a little
-above the number of eigenvalues at or near the circle; no N x N array
-exists on this path.  The few eigenvectors the matching probes come lazily
-(`Eigendata.vector`), each from one banded LU and three solves of the same
-inverse iteration (`_inverse_steps`) that polishes the eigenvalues.
+step on the filtered subspace and a polish of each Ritz pair by inverse
+iteration on the bands (`_polish`), which ends on the eigenvector that
+matching reads (`Eigendata.vector`).  Its working set is O(N p) for p
+probes, p a little above the number of eigenvalues at or near the circle;
+no N x N array exists on this path.
 
 The dense expansion `discretize` and the dense eigensolver `eigvals_complex`
 are the reference the tests check the disc solve against; no command
@@ -248,42 +247,31 @@ def _scaled_to_unit(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_steps(ab: np.ndarray, z: complex, v: np.ndarray, steps: int) -> np.ndarray | None:
-    """steps normalized inverse-iteration steps v <- (z - H)^-1 v / ||(z - H)^-1 v||
-    on one banded LU of z - H (`_shifted_lu`), or None when z - H is exactly
-    singular.  v is complex and is overwritten.  Each solution is scaled to
-    unit size (`_scaled_to_unit`) before its norm is taken, so a solution as
-    large as ~1e300 normalizes without overflow and without moving a bit."""
+def _polish(ab: np.ndarray, lam: complex, v: np.ndarray) -> tuple[complex, np.ndarray]:
+    """The Ritz pair (lam, v) refined on the bands into an eigenpair.
+
+    POLISH_ROUNDS rounds, each of two normalized inverse-iteration steps on
+    one banded LU of lam - H (`_shifted_lu`), then lam = v^T H v / v^T v, a
+    quotient that is stationary at the eigenvectors of the complex-symmetric
+    H (the FD H is symmetric but for its wall rows, where a decaying vector
+    is small).  The second round matters for the ill-conditioned box
+    continuum, whose Ritz values can be off by ~1e-3 (condition ~1e5 on the
+    complex Morse continuum).  v may be overwritten, and each solution is scaled
+    to unit size (`_scaled_to_unit`), which moves no bit, before its norm is
+    taken.  An exactly singular lam - H ends the polish there.
+    """
     from scipy.linalg import lapack
 
-    factors = _shifted_lu(ab, z)
-    if factors is None:
-        return None
-    for _ in range(steps):
-        v, _ = lapack.zgbtrs(factors[0], 2, 2, v, factors[1], overwrite_b=True)
-        v = _scaled_to_unit(v)
-        v /= np.linalg.norm(v)
-    return v
-
-
-def _polish(ab: np.ndarray, lam: complex, v: np.ndarray) -> complex:
-    """lam refined on the bands from its Ritz vector v.
-
-    POLISH_ROUNDS rounds, each of two inverse-iteration steps at shift lam
-    (`_inverse_steps`) followed by lam = v^T H v / v^T v, a quotient that is
-    stationary at the eigenvectors of the complex-symmetric H (the FD H is
-    symmetric but for its wall rows, where a decaying vector is small).  The
-    second round matters for the ill-conditioned box continuum, whose Ritz
-    values can be off by ~1e-3 (condition ~1e5 on the complex Morse
-    continuum).
-    """
-    v = v.astype(complex)
     for _ in range(POLISH_ROUNDS):
-        v = _inverse_steps(ab, lam, v, 2)
-        if v is None:
-            return lam
+        factors = _shifted_lu(ab, lam)
+        if factors is None:
+            break
+        for _ in range(2):
+            v, _ = lapack.zgbtrs(factors[0], 2, 2, v, factors[1], overwrite_b=True)
+            v = _scaled_to_unit(v)
+            v /= np.linalg.norm(v)
         lam = complex(v @ banded_matvec(ab, v) / (v @ v))
-    return lam
+    return lam, v
 
 
 def _hull(c1: complex, r1: float, c2: complex, r2: float) -> tuple[complex, float]:
@@ -320,8 +308,8 @@ def _nodes(centre: complex, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return centre + step, step / DISC_NODES
 
 
-def _circle_eigvals(ab: np.ndarray, centre: complex, radius: float) -> list[complex]:
-    """The eigenvalues of H inside |z - centre| < radius, from banded solves only.
+def _circle_eigpairs(ab: np.ndarray, centre: complex, radius: float) -> list[tuple]:
+    """The eigenpairs (lam, v) of H with lam inside |z - centre| < radius, from banded solves.
 
     Beyn's method on p random probe columns: A0 = sum_j w_j (z_j - H)^-1
     probes over the nodes (`_nodes`) spans the eigenvectors whose
@@ -338,7 +326,7 @@ def _circle_eigvals(ab: np.ndarray, centre: complex, radius: float) -> list[comp
     U* (H - centre) U / radius, whose eigenvalues mu inside the circle have
     |mu| < 1 whatever the scale of H (see LAPACK_SCALE_FLOOR); each such
     centre + radius mu is polished on the bands (`_polish`) from its Ritz
-    vector.
+    vector, and the pair the polish ends on is returned.
     """
     import scipy.linalg
     from scipy.linalg import lapack
@@ -380,49 +368,37 @@ def _circle_eigvals(ab: np.ndarray, centre: complex, radius: float) -> list[comp
 
 
 class Eigendata:
-    """Sorted eigenvalues plus on-demand eigenvectors of one discretized operator.
+    """The eigenpairs of one discretized operator, sorted by eigenvalue (re, im).
 
-    Vectors come lazily from inverse iteration on the pentadiagonal bands,
-    for the few candidates matching probes: one banded LU of lambda - H and
-    three solves per vector, through `_inverse_steps`, the helper the polish
-    of the disc solve also uses.  Each vector is checked against
-    the backward-error contract ||H v - lambda v|| / (||H||_F ||v||) <
-    BACKWARD_ERROR_TOL, and a violation raises NoConvergence.
+    values[i] is an eigenvalue and vectors[i] its unit eigenvector, the pair
+    the polish of the disc solve ended on.  `vector` checks the vector that
+    matching probes against the backward-error contract
+    ||H v - lambda v|| / (||H||_F ||v||) < BACKWARD_ERROR_TOL, and a
+    violation raises NoConvergence.
     """
 
-    def __init__(self, values: np.ndarray, bands: np.ndarray):
+    def __init__(self, values: np.ndarray, vectors: np.ndarray, bands: np.ndarray):
         self.values = values
+        self.vectors = vectors
         self._bands = bands
-        self._cache: dict[int, np.ndarray] = {}
         self._h_norm = float(np.linalg.norm(bands))
 
     @classmethod
     def from_bands(cls, ab: np.ndarray, centres, radius: float) -> "Eigendata":
         """Eigendata of the operator whose bands `banded_form` returned: the
-        eigenvalues of H inside the circles that hold the discs of radius
-        about the centres (`_circles`, `_circle_eigvals`), sorted by (re, im)."""
-        circles = _circles(centres, radius)
-        w = np.array([lam for c, r in circles for lam in _circle_eigvals(ab, c, r)], dtype=complex)
-        return cls(w[_sorted_by_value(w)], bands=ab)
+        eigenpairs of H inside the circles that hold the discs of radius
+        about the centres (`_circles`, `_circle_eigpairs`)."""
+        pairs = [pair for c, r in _circles(centres, radius) for pair in _circle_eigpairs(ab, c, r)]
+        w = np.array([lam for lam, _ in pairs], dtype=complex)
+        vectors = np.array([v for _, v in pairs], dtype=complex).reshape(w.size, ab.shape[1])
+        order = _sorted_by_value(w)
+        return cls(w[order], vectors[order], bands=ab)
 
     def vector(self, index: int) -> np.ndarray:
-        if index not in self._cache:
-            self._cache[index] = self._inverse_iteration(self.values[index])
-        return self._cache[index]
-
-    def _inverse_iteration(self, lam: complex) -> np.ndarray:
-        m = self._bands.shape[1]
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        v /= np.linalg.norm(v)
-        v = _inverse_steps(self._bands, lam, v, 3)
-        if v is None:
-            raise NoConvergence(f"inverse iteration stalled at {lam}: the shift is an eigenvalue")
+        lam, v = self.values[index], self.vectors[index]
         resid = np.linalg.norm(banded_matvec(self._bands, v) - lam * v)
         if resid / self._h_norm >= BACKWARD_ERROR_TOL:
-            raise NoConvergence(
-                f"eigenvector residual {resid:.3e} at {lam} violates the contract"
-            )
+            raise NoConvergence(f"eigenvector residual {resid:.3e} at {lam} violates the contract")
         return v
 
 

@@ -16,7 +16,6 @@ from sl2spectra.families import (
     BranchKind,
     _morse_roots,
     _strictly_above,
-    morse_reality_residual,
 )
 
 
@@ -80,6 +79,6 @@ def morse_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
         raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
     if not _strictly_above(b_re, 0.0):
         raise NoRegularBranch(f"Morse regularity fails: b_re = {b_re:.6g} is not > 0")
-    if morse_reality_residual(spec) <= REG_TOL:
+    if spec.reality_residual() <= REG_TOL:
         return [(1, BranchKind.REAL_SERIES, m_re, 0.0, complex(b_re, b_im))]
     return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, complex(b_re, b_im))]

@@ -1,13 +1,12 @@
 """Dense references for the tests: full eigensolves and a three-solve inverse iteration.
 
-The package computes the eigenvalues in discs about the closed levels from
-banded solves and vectors lazily by inverse iteration; the tests compare
-both against the full `scipy.linalg.eig` solve of `eig_complex`, checked
-against the same backward-error contract, and against `dense_eigvals`, the
-whole spectrum of H from the dense `eigvals` that the package's banded
-solves replaced.  `solve_banded_vector` is the inverse iteration `Eigendata`
-ran before it shared the polish's banded LU, which the tests pin its vectors
-to.
+The package computes the eigenpairs in discs about the closed levels from
+banded solves, each vector the one the polish of its eigenvalue ends on;
+the tests compare both against the full `scipy.linalg.eig` solve of
+`eig_complex`, checked against the same backward-error contract, and
+against `dense_eigvals`, the whole spectrum of H from the dense `eigvals`
+that the package's banded solves replaced.  `solve_banded_vector` gives a
+dense eigenvalue, which comes without a vector, the tests' own eigenvector.
 """
 
 import numpy as np
@@ -53,9 +52,9 @@ def dense_eigvals(ab: np.ndarray) -> np.ndarray:
 
 
 def solve_banded_vector(ab: np.ndarray, lam: complex) -> np.ndarray:
-    """Three normalized inverse-iteration steps with H - lam from the seeded
-    start vector of `Eigendata`, each a `scipy.linalg.solve_banded` call that
-    factors H - lam again."""
+    """The eigenvector of H at its eigenvalue lam: three normalized
+    inverse-iteration steps with H - lam from a seeded random start, each a
+    `scipy.linalg.solve_banded` call that factors H - lam again."""
     import scipy.linalg
 
     m = ab.shape[1]

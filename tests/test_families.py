@@ -19,7 +19,6 @@ from sl2spectra import (
     morse_from_ab,
     solve,
 )
-from sl2spectra.families import morse_reality_residual
 from sl2spectra.spectrum import enumerate_levels
 
 from branch_reference import morse_rows, poschl_teller_rows, scarf_rows
@@ -197,8 +196,8 @@ class TestMorse:
                             assert sol.branch_kind is BranchKind.COMPLEX_UNPAIRED
 
     def test_reality_residual_values(self):
-        assert morse_reality_residual(morse_from_ab(MorseABSpec(1, 1, 3, 3))) <= 1e-12
-        assert morse_reality_residual(morse_from_ab(MorseABSpec(1, 1, 3, 5))) > 1e-3
+        assert morse_from_ab(MorseABSpec(1, 1, 3, 3)).reality_residual() <= 1e-12
+        assert morse_from_ab(MorseABSpec(1, 1, 3, 5)).reality_residual() > 1e-3
 
     def test_negative_b_sign_convention(self):
         # nu = sign(v1i) keeps b_re > 0 for either sign of B

@@ -31,13 +31,13 @@ from sl2spectra import (
 )
 from sl2spectra.algebra import PotentialClass, RealizationParams
 from sl2spectra.oracle import (
+    BACKWARD_ERROR_TOL,
     DEFAULT_DECAY_GATE,
     DEFAULT_MATCH_TOL,
     DENSE_CAP,
     Eigendata,
     _circles,
     _dense_form,
-    _inverse_steps,
     _nodes,
     _polish,
     banded_form,
@@ -211,29 +211,19 @@ class TestEig:
         w_full, v_full = eig_complex(discretize(spec.potential, grid))
         data = Eigendata.from_bands(banded_form(spec.potential, grid), [-6.25], DEFAULT_MATCH_TOL)
         assert data.values.size == 1
-        lazy = data.vector(0)
+        polished = data.vector(0)
         dense = v_full[:, int(np.argmin(np.abs(w_full - (-6.25))))]
-        overlap = abs(np.vdot(lazy, dense)) ** 2
-        assert overlap / (np.vdot(lazy, lazy).real * np.vdot(dense, dense).real) > 1 - 1e-10
+        overlap = abs(np.vdot(polished, dense)) ** 2
+        assert overlap / (np.vdot(polished, polished).real * np.vdot(dense, dense).real) > 1 - 1e-10
 
-    @pytest.mark.parametrize("spec", [ScarfSpec(9.75, 6.0), MorseABSpec(1.0, 1.0, 3.0, 5.0)])
-    def test_vectors_pinned_to_solve_banded_reference(self, spec):
-        # one LU of lam - H and three solves against three LUs of H - lam: the
-        # factors are exact negatives, so the vectors differ by sign alone
-        ab = _fd_bands(spec)
-        data = Eigendata.from_bands(ab, _closed_energies(spec), DISC_RADIUS)
-        assert data.values.size > 0
-        for i, lam in enumerate(data.values):
-            assert np.array_equal(np.abs(data.vector(i)), np.abs(solve_banded_vector(ab, lam)))
-
-    @pytest.mark.parametrize("lam, match", [(1.0, "stalled"), (0.5, "contract")])
-    def test_vector_raises_no_convergence(self, lam, match):
-        # H = I: the shift 1 makes H - lam exactly singular, and the shift 0.5
-        # leaves a vector whose residual |1 - 0.5| breaks the backward-error contract
+    def test_vector_raises_no_convergence(self):
+        # H = I and the unit vector (1, ..., 1) / 4 paired with 0.5: its
+        # residual |1 - 0.5| breaks the backward-error contract
         ab = np.zeros((5, 16), dtype=complex)
         ab[2] = 1.0
-        with pytest.raises(NoConvergence, match=match):
-            Eigendata(np.array([lam], dtype=complex), bands=ab).vector(0)
+        data = Eigendata(np.array([0.5 + 0j]), np.full((1, 16), 0.25 + 0j), bands=ab)
+        with pytest.raises(NoConvergence, match="contract"):
+            data.vector(0)
 
 
 def _fd_bands(spec, box=None, n_points=300):
@@ -279,6 +269,19 @@ class TestDiscSolve:
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() < 1e-10 * np.linalg.norm(ab)
 
+    @pytest.mark.parametrize("case", DISC_CASES)
+    def test_every_pair_meets_the_backward_error_contract(self, case):
+        # each vector is the one the polish of its eigenvalue ended on
+        spec, box = DISC_CASES[case]
+        ab = _fd_bands(spec, box)
+        data = Eigendata.from_bands(ab, _closed_energies(spec), DISC_RADIUS)
+        assert data.vectors.shape == (data.values.size, ab.shape[1]) and data.values.size > 0
+        resid = banded_matvec(ab, data.vectors.T) - data.vectors.T * data.values
+        backward = np.linalg.norm(resid, axis=0) / np.linalg.norm(data.vectors, axis=1)
+        assert np.max(backward / np.linalg.norm(ab)) < BACKWARD_ERROR_TOL
+        for i in range(data.values.size):  # the probe's own check passes on the stored vector
+            assert np.array_equal(data.vector(i), data.vectors[i])
+
     def test_disc_solve_is_scale_free(self):
         # on a +-1e70 box at 100 points the ten lowest box levels lie near
         # 1e-140, below the largest entry under which xGEEV rescales a matrix
@@ -312,26 +315,24 @@ class TestDiscSolve:
             assert math.isnan(row.e_numeric.real) and math.isnan(row.abs_error)
 
 
-class _GivenVectors(Eigendata):
-    """Eigendata with hand-supplied eigenvectors in place of inverse iteration."""
-
-    def __init__(self, values, vectors):
-        super().__init__(values, bands=np.zeros((5, vectors.shape[0]), dtype=complex))
-        self._vectors = vectors
-
-    def vector(self, index):
-        return self._vectors[:, index]
+def _empty_eigendata():
+    """What discs that hold no eigenvalue give: no values and no vectors."""
+    return Eigendata(np.empty(0, dtype=complex), np.empty((0, 64), dtype=complex),
+                     bands=np.zeros((5, 64), dtype=complex))
 
 
 class TestMatching:
     def test_conjugate_pair_tie_goes_to_negative_imaginary_member(self):
-        # 20 exact conjugate pairs sorted by (re, im); each real closed level
-        # sits at equal distance from both members of one pair.
+        # 20 exact conjugate pairs sorted by (re, im), the eigenvalues of a
+        # diagonal H whose unit eigenvectors, zero at the walls, all decay;
+        # each real closed level sits at equal distance from both members of
+        # one pair.
         k = np.arange(20)
         re, im = -5.0 + 0.5 * k, 0.2 + 0.01 * k
         values = np.stack([re - 1j * im, re + 1j * im], axis=1).ravel()
-        bump = np.exp(-np.linspace(-6.0, 6.0, 64) ** 2).astype(complex)
-        data = _GivenVectors(values, np.tile(bump[:, None], values.size))
+        ab = np.zeros((5, 64), dtype=complex)
+        ab[2, 12:52] = values
+        data = Eigendata(values, np.eye(64, dtype=complex)[12:52], bands=ab)
         closed = [EigenLevel(n=0, energy=complex(e), epsilon=1) for e in re]
         report = match_levels(closed, data, tol=0.5)
         assert report.all_matched
@@ -356,7 +357,7 @@ class TestMatching:
 
     def test_empty_eigendata_leaves_every_row_unmatched(self):
         # discs that hold no eigenvalue give an Eigendata without values
-        data = Eigendata(np.empty(0, dtype=complex), bands=np.zeros((5, 64), dtype=complex))
+        data = _empty_eigendata()
         closed = [EigenLevel(n=n, energy=complex(e), epsilon=1) for n, e in enumerate((-6.25, -2.25))]
         report = match_levels(closed, data)
         assert len(report.rows) == 2 and not report.all_matched
@@ -367,11 +368,14 @@ class TestMatching:
 
     def test_matched_is_a_plain_bool_on_every_row(self, scarf96_box18):
         # rows whose candidate decays (within tol or not), a row whose only
-        # candidate fails the gate, and a row with no candidate at all
+        # candidate, the flat eigenvector of H = I at 1, fails the gate, and
+        # a row with no candidate at all
         _, _, closed, eigendata = scarf96_box18
         fake = [EigenLevel(n=0, energy=1.0 + 0j, epsilon=1)]
-        flat = _GivenVectors(np.array([0j]), np.ones((64, 1), dtype=complex))
-        empty = Eigendata(np.empty(0, dtype=complex), bands=np.zeros((5, 64), dtype=complex))
+        identity = np.zeros((5, 64), dtype=complex)
+        identity[2] = 1.0
+        flat = Eigendata(np.array([1 + 0j]), np.full((1, 64), 0.125 + 0j), bands=identity)
+        empty = _empty_eigendata()
         rows = [
             row
             for data, levels in ((eigendata, closed + fake), (flat, fake), (empty, fake))
@@ -394,11 +398,15 @@ class TestMatching:
         ]
 
     def test_no_decaying_level_below_ground(self, scarf96_box18):
-        # read from the whole dense spectrum: the discs hold none below it
+        # read from the whole dense spectrum, each eigenvalue below the floor
+        # with its solve_banded_vector: the discs hold none below it
         spec, grid, closed, _ = scarf96_box18
         ab = banded_form(spec.potential, grid)
         floor = min(lv.energy.real for lv in closed)
-        assert self.deeper_decaying_levels(Eigendata(dense_eigvals(ab), bands=ab), floor) == []
+        w = dense_eigvals(ab)
+        w = w[w.real < floor - DEFAULT_MATCH_TOL]
+        vectors = np.array([solve_banded_vector(ab, lam) for lam in w]).reshape(w.size, ab.shape[1])
+        assert self.deeper_decaying_levels(Eigendata(w, vectors, bands=ab), floor) == []
 
     def test_degenerate_crossing_splits_under_truncation(self, scarf96_box18):
         # At v1=9.75, v2=6 the two branch series cross at E = -0.25; the level
@@ -426,7 +434,7 @@ def _signed(lo, hi):
     return st.tuples(st.floats(lo, hi), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 
 
-CONTOUR_SPECS = st.one_of(
+DISC_SPECS = st.one_of(
     st.builds(ScarfSpec, st.floats(0.0, 60.0), _signed(0.1, 10.0)),
     st.builds(PoschlTellerSpec, st.floats(-0.2, 30.0), _signed(0.1, 10.0),
               st.floats(-2.0, 2.0), _signed(0.05, 0.75)),
@@ -437,7 +445,7 @@ CONTOUR_SPECS = st.one_of(
 )
 
 
-def _assert_contour_bound(closed, ab, ref, vector, tol, radius):
+def _assert_disc_bound(closed, ab, ref, vector, tol, radius):
     """The disc solve about the closed levels, at radius, returns every
     decaying dense eigenvalue ref[i] (vector(i) passes the gate) that lies
     within radius / 2 of a closed level, to tol[i].
@@ -453,15 +461,15 @@ def _assert_contour_bound(closed, ab, ref, vector, tol, radius):
                 assert w.size and np.abs(w - ref[i]).min() <= tol[i], ref[i]
 
 
-class TestContourBound:
+class TestDiscBound:
     @settings(max_examples=16, deadline=None)
-    @given(CONTOUR_SPECS)
+    @given(DISC_SPECS)
     @example(ScarfSpec(60.0, 3.0))
     @example(ScarfSpec(1.0, 1.2))
     @example(ScarfSpec(1.0, 1.25))
     @example(PoschlTellerSpec(9.75, 6.0, c=0.5, contour_gamma=math.pi / 8))
     @example(MorseSpec(0.5, 2.0, 3.0, 1.5))
-    def test_decaying_eigenvalues_inside_contour(self, spec):
+    def test_decaying_eigenvalues_inside_discs(self, spec):
         # 1e-7, plus the dense reference's own first-order error
         # cond(lambda) eps ||H||_F: the box continuum of Morse has condition
         # numbers up to ~1e5, where that term passes 1e-7
@@ -475,17 +483,20 @@ class TestContourBound:
         ref, left, right = scipy.linalg.eig(_dense_form(ab), left=True, right=True)
         cond = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))  # unit-norm columns
         tol = 1e-7 + cond * np.finfo(float).eps * np.linalg.norm(ab)
-        _assert_contour_bound(closed, ab, ref, lambda i: right[:, i], tol, DISC_RADIUS)
+        _assert_disc_bound(closed, ab, ref, lambda i: right[:, i], tol, DISC_RADIUS)
 
-    def test_pinned_box_inside_contour(self):
-        # criterion 1's box: dense eigenvalues, vectors by inverse iteration;
-        # the half window holds the split pair 1.07e-3 from -0.25
+    def test_pinned_box_inside_discs(self):
+        # criterion 1's box: dense eigenvalues, vectors by inverse iteration
+        # (`solve_banded_vector`); the half window holds the split pair
+        # 1.07e-3 from -0.25
         spec = ScarfSpec(9.75, 6.0)
         ab = banded_form(spec.potential, Grid(-15.0, 15.0, 3000))
-        reference = Eigendata(dense_eigvals(ab), bands=ab)
-        tol = np.full(reference.values.size, 1e-7)
+        ref = dense_eigvals(ab)
+        tol = np.full(ref.size, 1e-7)
         closed = _closed_energies(spec)
-        _assert_contour_bound(closed, ab, reference.values, reference.vector, tol, SPLIT_WINDOW)
+        _assert_disc_bound(
+            closed, ab, ref, lambda i: solve_banded_vector(ab, ref[i]), tol, SPLIT_WINDOW
+        )
 
 
 class TestResidual:
@@ -558,12 +569,13 @@ class TestSolverRaisePaths:
 
     def test_polish_at_a_singular_shift(self):
         # H = I and lam = 1: lam - H is exactly singular, so no inverse step
-        # runs and lam comes back as it went in (the quotient is a new object)
+        # runs and the pair comes back as it went in (the quotient would be a
+        # new object, and a solve would write a new vector)
         ab = np.zeros((5, 40), dtype=complex)
         ab[2] = 1.0
-        lam = 1.0 + 0j
-        assert _inverse_steps(ab, lam, np.ones(40, dtype=complex), 2) is None
-        assert _polish(ab, lam, np.ones(40)) is lam
+        lam, v = 1.0 + 0j, np.ones(40, dtype=complex)
+        out_lam, out_v = _polish(ab, lam, v)
+        assert out_lam is lam and out_v is v and np.array_equal(v, np.ones(40))
 
 
 class TestPipeline:
