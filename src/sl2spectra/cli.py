@@ -82,7 +82,7 @@ def report_document(report: spectrum.SpectrumReport) -> str:
     """
     spec = report.spec
     params = ",\n    ".join(f"{_quote(k)}: {_num(v)}" for k, v in spec.parameters().items())
-    branches = [_branch_text(sol, levels) for sol, levels in report.branches]
+    branches = [_branch_text(spec, sol, levels) for sol, levels in report.branches]
     return (
         '{\n  "schema_version": 1,\n'
         f'  "family": {_quote(spec.family)},\n'
@@ -96,8 +96,8 @@ def report_document(report: spectrum.SpectrumReport) -> str:
     )
 
 
-def _branch_text(sol, levels) -> str:
-    r = sol.realization
+def _branch_text(spec, sol, levels) -> str:
+    r = spec.realization(sol.b)
     level_texts = [
         f'{{\n          "n": {lv.n},\n          "energy": [\n'
         f"            {_num(lv.energy.real)},\n            {_num(lv.energy.imag)}\n"
@@ -289,7 +289,7 @@ def cmd_wavefunction(config: RunConfig) -> int:
     if config.grid.n_points > MAX_PROFILE_POINTS:
         raise InvalidSpec(
             f"profile capped at {MAX_PROFILE_POINTS} points, got {config.grid.n_points}")
-    psi = tower_state(sol.realization, sol.m, config.n, config.grid.points)
+    psi = tower_state(config.spec.realization(sol.b), sol.m, config.n, config.grid.points)
     _emit(_profile_text(psi.xs, psi.values), config.output)
     return EXIT_OK
 

@@ -4,8 +4,8 @@ Each family (complexified Scarf II, generalized Poschl-Teller, complexified
 Morse) is a closed-form member of one realization class.  Each family's
 `branch_rows` inverts the matching between its couplings and the realization
 parameters (b, m), applies the regularity conditions m_re > 1/2 (and b_re > 0
-for class III), and returns every admissible branch as a plain row;
-`solve` builds the branch objects from those rows.  Each family's branches
+for class III), and returns every admissible branch as one AlgebraicSolution
+record, which `solve` returns as it is.  Each family's branches
 come from complex arithmetic on one principal square root: sqrt(v1 + 1/4 - |v2|)
 for Scarf II and Poschl-Teller, whose branch point is the transition from
 real to complex levels, and sqrt(2 * v1) for Morse.
@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .algebra import PotentialClass, RealizationParams
 from .errors import InvalidSpec, NoRegularBranch
@@ -42,6 +42,30 @@ class BranchKind(Enum):
     COMPLEX_UNPAIRED = "ComplexUnpaired"
 
 
+class AlgebraicSolution(NamedTuple):
+    """One admissible branch: its tag, kind, tower label m = m_re + i*m_im and amplitude b.
+
+    Levels are n = 0, 1, ... with n < n_max_exclusive = m_re - 1/2; the
+    branch tag epsilon distinguishes the two solution sets of the Scarf and
+    Poschl-Teller matching systems.  The branch's realization is
+    `spec.realization(b)`, built only where it is read.
+    """
+
+    epsilon: int
+    branch_kind: BranchKind
+    m_re: float
+    m_im: float
+    b: complex
+
+    @property
+    def m(self) -> complex:
+        return complex(self.m_re, self.m_im)
+
+    @property
+    def n_max_exclusive(self) -> float:
+        return self.m_re - 0.5
+
+
 def _strictly_above(value: float, bound: float) -> bool:
     return value - bound > REG_TOL * max(1.0, abs(value), abs(bound))
 
@@ -53,8 +77,8 @@ class FamilySpec:
     and, with '_' written '-', the CLI flags.  A family sets `family`,
     `potential_class` (its realization class), `box` (default oracle domain)
     and `sweep_field` (the field `scan` sweeps, or None) and defines
-    `potential` and `branch_rows`, which returns a row (epsilon, kind, m_re,
-    m_im, b) per admissible branch or raises NoRegularBranch, and overrides
+    `potential` and `branch_rows`, which returns an AlgebraicSolution per
+    admissible branch or raises NoRegularBranch, and overrides
     the closed-form hooks below where it differs from the base.  Couplings
     that are not finite or exceed MAX_COUPLING in magnitude are rejected
     here, once for every family.
@@ -204,7 +228,8 @@ class PoschlTellerSpec(FamilySpec):
         series untouched.
         """
         return [
-            (eps, kind, m_re, m_im, complex(b.imag, 0.0 - b.real))  # -i*b, no -0.0 part
+            # -i*b, with no -0.0 part
+            AlgebraicSolution(eps, kind, m_re, m_im, complex(b.imag, 0.0 - b.real))
             for eps, kind, m_re, m_im, b in _scarf_pt_rows(self)
         ]
 
@@ -282,8 +307,8 @@ class MorseSpec(FamilySpec):
         if not _strictly_above(b.real, 0.0):
             raise NoRegularBranch(f"Morse regularity fails: b_re = {b.real:.6g} is not > 0")
         if _reality_residual(self, roots) <= REG_TOL:
-            return [(1, BranchKind.REAL_SERIES, m_re, 0.0, b)]
-        return [(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
+            return [AlgebraicSolution(1, BranchKind.REAL_SERIES, m_re, 0.0, b)]
+        return [AlgebraicSolution(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
 
     def reality_residual(self) -> float:
         return _reality_residual(self, _morse_roots(self))
@@ -345,38 +370,8 @@ def morse_from_ab(ab: MorseABSpec) -> MorseSpec:
     )
 
 
-@dataclass(frozen=True)
-class AlgebraicSolution:
-    """One admissible branch: realization, tower label m, and its level range.
-
-    Levels are n = 0, 1, ... with n < n_max_exclusive = m_re - 1/2; the
-    branch tag epsilon distinguishes the two solution sets of the Scarf and
-    Poschl-Teller matching systems.
-    """
-
-    realization: RealizationParams
-    m_re: float
-    m_im: float
-    epsilon: int
-    n_max_exclusive: float
-    branch_kind: BranchKind
-
-    def __post_init__(self):
-        if not _strictly_above(self.m_re, 0.5):
-            raise ValueError(f"regularity m_re > 1/2 violated: m_re = {self.m_re}")
-        r = self.realization
-        if r.potential_class is PotentialClass.III_UPPER and not _strictly_above(r.b_re, 0.0):
-            raise ValueError(f"class III regularity b_re > 0 violated: {r.b_re}")
-        if (self.branch_kind is BranchKind.REAL_SERIES) != (self.m_im == 0.0):
-            raise ValueError("RealSeries tag must coincide with m_im == 0")
-
-    @property
-    def m(self) -> complex:
-        return complex(self.m_re, self.m_im)
-
-
-def _scarf_pt_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
-    """Branch rows of the Scarf II matching system, shared by Poschl-Teller.
+def _scarf_pt_rows(spec) -> list[AlgebraicSolution]:
+    """Branches of the Scarf II matching system, shared by Poschl-Teller.
 
     With sq_p = sqrt(v1 + 1/4 + |v2|), the principal root
     r = sqrt(v1 + 1/4 - |v2|) and nu = sign(v2), the branches eps = +-1 are
@@ -402,7 +397,7 @@ def _scarf_pt_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
     for eps in ((1, -1) if r else (1,)):
         m = 0.5 * (sq_p + eps * r)
         if _strictly_above(m.real, 0.5):
-            out.append((eps, kind, m.real, m.imag, 0.5j * nu * (sq_p - eps * r)))
+            out.append(AlgebraicSolution(eps, kind, m.real, m.imag, 0.5j * nu * (sq_p - eps * r)))
     if not out:
         raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {spec}")
     return out
@@ -430,22 +425,8 @@ def _reality_residual(spec: MorseSpec, roots: tuple[float, float, float, float])
 
 
 def solve(spec: FamilySpec) -> list[AlgebraicSolution]:
-    """Every admissible branch of the family's matching equations.
-
-    The one place branch objects are built, from the spec's branch rows;
-    NoRegularBranch propagates.
-    """
-    return [
-        AlgebraicSolution(
-            realization=spec.realization(b),
-            m_re=m_re,
-            m_im=m_im,
-            epsilon=eps,
-            n_max_exclusive=m_re - 0.5,
-            branch_kind=kind,
-        )
-        for eps, kind, m_re, m_im, b in spec.branch_rows()
-    ]
+    """Every admissible branch of the family's matching equations; NoRegularBranch propagates."""
+    return spec.branch_rows()
 
 
 def with_swept_value(spec: FamilySpec, value: float) -> FamilySpec:

@@ -162,22 +162,22 @@ def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[Ph
     Morse-AB sweeps delta_p across gamma_p.  Each row counts real levels and
     complex-conjugate level pairs (unpaired complex Morse levels contribute
     to neither count; the classification column carries the phase).  Levels
-    are counted from each sample's branch rows; no branch object is built.
+    are counted from each sample's branches, and no realization is built.
     """
     rows = []
     for value in sweep_values(start, stop, step):
         try:
-            branch_rows = families.with_swept_value(base_spec, value).branch_rows()
+            branches = families.with_swept_value(base_spec, value).branch_rows()
         except families.NoRegularBranch:
             rows.append(PhaseDiagramRow(value, 0, 0, Classification.EMPTY))
             continue
         real = paired = 0
-        for _, kind, m_re, _, _ in branch_rows:
-            count = level_count(m_re - 0.5)  # every branch, so the cap holds for each
-            if kind is BranchKind.REAL_SERIES:
+        for sol in branches:
+            count = level_count(sol.n_max_exclusive)  # every branch, so the cap holds for each
+            if sol.branch_kind is BranchKind.REAL_SERIES:
                 real += count
-            elif kind is BranchKind.COMPLEX_PAIR_MEMBER:
+            elif sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER:
                 paired += count
-        kinds = [row[1] for row in branch_rows]
+        kinds = [sol.branch_kind for sol in branches]
         rows.append(PhaseDiagramRow(value, real, paired // 2, _classification_of(kinds)))
     return rows

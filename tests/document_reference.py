@@ -15,7 +15,7 @@ def reference_document(report) -> dict:
     """The schema-v1 analyze document of a SpectrumReport, as a dict tree."""
     branches = []
     for sol, levels in report.branches:
-        r = sol.realization
+        r = report.spec.realization(sol.b)
         branches.append(
             {
                 "epsilon": sol.epsilon,

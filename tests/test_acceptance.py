@@ -257,7 +257,7 @@ def test_criterion_6_property_suites(scarf96_box15):
         (MorseABSpec(1.0, 1.0, 3.0, 5.0), np.linspace(-3, 30, 401)),
     ]:
         for sol in solve(spec):
-            dev = np.abs(sol.realization.potential(sol.m, xs_rt) - spec.potential(xs_rt))
+            dev = np.abs(spec.realization(sol.b).potential(sol.m, xs_rt) - spec.potential(xs_rt))
             assert np.max(dev) < 1e-10, f"round trip {spec}"
 
     # ladder intertwining residual < 1e-5 in all three classes

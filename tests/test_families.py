@@ -19,6 +19,7 @@ from sl2spectra import (
     morse_from_ab,
     solve,
 )
+from sl2spectra.families import _strictly_above
 from sl2spectra.spectrum import enumerate_levels
 
 from branch_reference import morse_rows, poschl_teller_rows, scarf_rows
@@ -40,8 +41,8 @@ class TestScarf:
         assert minus.m_re == 1.0 and minus.m_im == 0.0
         assert plus.n_max_exclusive == 2.5
         assert minus.n_max_exclusive == 0.5
-        assert plus.realization.b == 1j
-        assert minus.realization.b == 3j
+        assert plus.b == 1j
+        assert minus.b == 3j
         assert np.allclose(energies(plus), [-6.25, -2.25, -0.25], atol=1e-14)
         assert np.allclose(energies(minus), [-0.25], atol=1e-14)
         assert {s.branch_kind for s in sols.values()} == {BranchKind.REAL_SERIES}
@@ -71,7 +72,7 @@ class TestScarf:
         assert sol.branch_kind is BranchKind.REAL_SERIES
         assert abs(sol.m_re - 0.5 * math.sqrt(2.5)) < 1e-15
         # both epsilon formulas coincide there (sq_minus = 0)
-        assert abs(sol.realization.b_im - sol.m_re) < 1e-15
+        assert abs(sol.b.imag - sol.m_re) < 1e-15
 
     def test_no_regular_branch(self):
         with pytest.raises(NoRegularBranch):
@@ -88,11 +89,12 @@ class TestScarf:
 
 class TestPoschlTeller:
     def test_real_series_mirror_scarf(self):
-        sols = by_epsilon(solve(PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)))
+        spec = PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)
+        sols = by_epsilon(solve(spec))
         assert sols[1].m_re == 3.0 and sols[-1].m_re == 1.0
-        assert sols[1].realization.b == 1.0 + 0j
-        assert sols[-1].realization.b == 3.0 + 0j
-        assert sols[1].realization.potential_class is PotentialClass.II
+        assert sols[1].b == 1.0 + 0j
+        assert sols[-1].b == 3.0 + 0j
+        assert spec.realization(sols[1].b).potential_class is PotentialClass.II
         assert np.allclose(energies(sols[1]), [-6.25, -2.25, -0.25], atol=1e-14)
         assert np.allclose(energies(sols[-1]), [-0.25], atol=1e-14)
 
@@ -101,8 +103,8 @@ class TestPoschlTeller:
         sq_p, sq_m = math.sqrt(5.25), math.sqrt(4.75)
         for eps, sol in sols.items():
             assert sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER
-            assert abs(sol.realization.b_re - 0.5 * sq_p) < 1e-14
-            assert abs(sol.realization.b_im + 0.5 * eps * sq_m) < 1e-14
+            assert abs(sol.b.real - 0.5 * sq_p) < 1e-14
+            assert abs(sol.b.imag + 0.5 * eps * sq_m) < 1e-14
             assert len(energies(sol)) == 1
         assert abs(energies(sols[1])[0] - np.conj(energies(sols[-1])[0])) < 1e-12
 
@@ -110,15 +112,15 @@ class TestPoschlTeller:
         pos = by_epsilon(solve(PoschlTellerSpec(9.75, 6.0, 0.0, math.pi / 8)))
         neg = by_epsilon(solve(PoschlTellerSpec(9.75, -6.0, 0.0, math.pi / 8)))
         for eps in (1, -1):
-            assert neg[eps].realization.b_re == -pos[eps].realization.b_re
+            assert neg[eps].b.real == -pos[eps].b.real
             assert neg[eps].m_re == pos[eps].m_re
             assert energies(neg[eps]) == energies(pos[eps])
 
     def test_contour_passthrough(self):
-        sols = solve(PoschlTellerSpec(9.75, 6.0, c=0.7, contour_gamma=math.pi / 16))
-        for sol in sols:
-            assert sol.realization.c == 0.7
-            assert sol.realization.gamma == math.pi / 16
+        spec = PoschlTellerSpec(9.75, 6.0, c=0.7, contour_gamma=math.pi / 16)
+        for sol in solve(spec):
+            assert spec.realization(sol.b).c == 0.7
+            assert spec.realization(sol.b).gamma == math.pi / 16
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
@@ -161,7 +163,7 @@ class TestMorse:
         assert len(sols) == 1
         sol = sols[0]
         assert sol.branch_kind is BranchKind.REAL_SERIES
-        assert sol.realization.b == 1 + 1j
+        assert sol.b == 1 + 1j
         assert abs(sol.m_re - 1.5) < 1e-14 and sol.m_im == 0.0
         assert np.allclose(energies(sol), [-1.0], atol=1e-14)  # one level, E0 = -(C)^2
 
@@ -202,8 +204,8 @@ class TestMorse:
     def test_negative_b_sign_convention(self):
         # nu = sign(v1i) keeps b_re > 0 for either sign of B
         sol = solve(MorseABSpec(1.0, -1.0, 3.0, 3.0))[0]
-        assert sol.realization.b_re > 0
-        assert sol.realization.b_im < 0
+        assert sol.b.real > 0
+        assert sol.b.imag < 0
         assert sol.branch_kind is BranchKind.REAL_SERIES
 
 
@@ -249,7 +251,7 @@ class TestProperties:
                 xs = np.linspace(-10.0, 10.0, 601)
             target = spec.potential(xs)
             for sol in sols:
-                got = sol.realization.potential(sol.m, xs)
+                got = spec.realization(sol.b).potential(sol.m, xs)
                 assert np.max(np.abs(got - target)) < 1e-10
 
     def test_branch_dichotomy_across_threshold(self):
@@ -282,9 +284,8 @@ class TestProperties:
                 continue
             for sol in sols:
                 assert sol.m_re > 0.5
-                cls = sol.realization.potential_class
-                if cls is PotentialClass.III_UPPER:
-                    assert sol.realization.b_re > 0
+                if spec.potential_class is PotentialClass.III_UPPER:
+                    assert sol.b.real > 0
 
 
 def log_uniform(lo, hi):
@@ -329,6 +330,20 @@ def row_bits(rows_of, spec):
             for eps, kind, m_re, m_im, b in rows]
 
 
+def assert_branch_invariants(spec):
+    """Every record of spec.branch_rows() is regular (m_re > 1/2, and b_re > 0
+    for class III) and is a real series exactly when m_im == 0."""
+    try:
+        branches = spec.branch_rows()
+    except NoRegularBranch:
+        return
+    for sol in branches:
+        assert _strictly_above(sol.m_re, 0.5)
+        if spec.potential_class is PotentialClass.III_UPPER:
+            assert _strictly_above(sol.b.real, 0.0)
+        assert (sol.branch_kind is BranchKind.REAL_SERIES) == (sol.m_im == 0.0)
+
+
 def spec_or_reject(cls, couplings):
     try:
         return cls(*couplings)
@@ -347,12 +362,14 @@ class TestOneRoot:
     def test_scarf_rows(self, couplings):
         spec = spec_or_reject(ScarfSpec, couplings)
         assert row_bits(ScarfSpec.branch_rows, spec) == row_bits(scarf_rows, spec)
+        assert_branch_invariants(spec)
 
     @settings(max_examples=120, deadline=None)
     @given(scarf_pt_couplings(v1_min=-0.25))
     def test_poschl_teller_rows(self, couplings):
         spec = spec_or_reject(PoschlTellerSpec, couplings)
         assert row_bits(PoschlTellerSpec.branch_rows, spec) == row_bits(poschl_teller_rows, spec)
+        assert_branch_invariants(spec)
 
     @settings(max_examples=120, deadline=None)
     @given(morse_couplings())
@@ -360,3 +377,4 @@ class TestOneRoot:
     def test_morse_rows(self, couplings):
         spec = spec_or_reject(MorseSpec, couplings)
         assert row_bits(MorseSpec.branch_rows, spec) == row_bits(morse_rows, spec)
+        assert_branch_invariants(spec)

@@ -399,14 +399,23 @@ class TestMatching:
 
     def test_no_decaying_level_below_ground(self, scarf96_box18):
         # read from the whole dense spectrum, each eigenvalue below the floor
-        # with its solve_banded_vector: the discs hold none below it
+        # with its solve_banded_vector: the discs hold none below it.  The
+        # negative control puts the floor at the second-lowest closed level,
+        # where the probe must find the decaying ground eigenvalue and no other
         spec, grid, closed, _ = scarf96_box18
         ab = banded_form(spec.potential, grid)
-        floor = min(lv.energy.real for lv in closed)
-        w = dense_eigvals(ab)
-        w = w[w.real < floor - DEFAULT_MATCH_TOL]
-        vectors = np.array([solve_banded_vector(ab, lam) for lam in w]).reshape(w.size, ab.shape[1])
-        assert self.deeper_decaying_levels(Eigendata(w, vectors, bands=ab), floor) == []
+        w_all = dense_eigvals(ab)
+
+        def deeper(floor):
+            w = w_all[w_all.real < floor - DEFAULT_MATCH_TOL]
+            vectors = np.array([solve_banded_vector(ab, lam) for lam in w]).reshape(
+                w.size, ab.shape[1])
+            return self.deeper_decaying_levels(Eigendata(w, vectors, bands=ab), floor)
+
+        floors = sorted(lv.energy.real for lv in closed)
+        assert deeper(floors[0]) == []
+        ground = deeper(floors[1])
+        assert len(ground) == 1 and abs(ground[0] + 6.25) < DEFAULT_MATCH_TOL
 
     def test_degenerate_crossing_splits_under_truncation(self, scarf96_box18):
         # At v1=9.75, v2=6 the two branch series cross at E = -0.25; the level
@@ -516,7 +525,7 @@ class TestResidual:
         # (RuntimeWarnings fail the suite, so none may be raised)
         spec = ScarfSpec(9.75, 6.0)
         sol = solve(spec)[0]
-        psi = tower_state(sol.realization, sol.m, 0, np.linspace(*spec.box, 801))
+        psi = tower_state(spec.realization(sol.b), sol.m, 0, np.linspace(*spec.box, 801))
 
         def res(values):
             return residual(GridFunction(psi.xs, values), spec.potential, -6.25)

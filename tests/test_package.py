@@ -130,11 +130,10 @@ def _raises_by_function(path: Path) -> dict[str, list[ast.Raise]]:
 
 def test_every_raise_is_the_error_of_an_exit_code():
     # each failure raises the SpectraError subclass of its exit code where it
-    # arises, or re-raises; AlgebraicSolution's invariants, which branch_rows
-    # already ensures and no input reaches, stay ValueErrors that would show
-    # as a traceback
+    # arises, or re-raises; no ValueError or other exception that would show
+    # as a traceback is raised anywhere
     errors = {"InvalidSpec", "NoRegularBranch", "NoConvergence"}
-    invariants, stray = [], []
+    stray = []
     for path in sorted(Path(sl2spectra.__file__).parent.glob("*.py")):
         for owner, raises in _raises_by_function(path).items():
             for node in raises:
@@ -143,14 +142,10 @@ def test_every_raise_is_the_error_of_an_exit_code():
                 if name is None or name in errors:
                     continue
                 where = f"{path.stem}.{owner}"
-                if where == "families.AlgebraicSolution.__post_init__" and name == "ValueError":
-                    invariants.append(node)
-                elif where == "__init__.__getattr__" and name == "AttributeError":
+                if where == "__init__.__getattr__" and name == "AttributeError":
                     continue  # PEP 562: the package has no such attribute
-                else:
-                    stray.append(f"{where}:{node.lineno} raises {name}")
+                stray.append(f"{where}:{node.lineno} raises {name}")
     assert stray == []
-    assert len(invariants) == 3
 
 
 def test_cli_main_catches_spectra_error_alone():
