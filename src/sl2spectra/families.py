@@ -12,7 +12,8 @@ real to complex levels, and sqrt(2 * v1) for Morse.
 
 Each family is one FamilySpec class, and FAMILIES maps family names to
 those classes; the rest of the package reads everything family-specific
-from the spec.
+from the spec.  Scarf II and Poschl-Teller derive from `_ScarfMatching`,
+which states their shared matching system once.
 """
 
 from __future__ import annotations
@@ -127,20 +128,64 @@ MORSE_BOX = (-4.0, 35.0)
 
 
 @dataclass(frozen=True)
-class ScarfSpec(FamilySpec):
+class _ScarfMatching(FamilySpec):
+    """The matching system m**2 - b**2 = v1 + 1/4, 2*m*b = i*v2 of Scarf II,
+    which generalized Poschl-Teller shares with b multiplied by -i.
+
+    With sq_p = sqrt(v1 + 1/4 + |v2|), the principal root
+    r = sqrt(v1 + 1/4 - |v2|) and nu = sign(v2), the branches eps = +-1 are
+
+        m = (sq_p + eps * r) / 2,    b = i * nu * (sq_p - eps * r) / 2
+
+    for class I, and -i times that b for class II.  r is real below the
+    critical coupling |v2| = v1 + 1/4, where both branches are real series,
+    and imaginary above it, where they are a complex-conjugate pair: the
+    transition is the branch point of r.  Within a relative band REG_TOL of
+    the critical coupling r is 0, so that a sweep sample landing there is the
+    exact merge point, and the two coinciding branches are kept once.  A
+    branch is kept only if m_re > 1/2.
+    """
+
+    v1: float
+    v2: float
+
+    box = SYMMETRIC_BOX
+    sweep_field = "v2"
+
+    def threshold_distance(self) -> float:
+        return abs(self.v2) - (self.v1 + 0.25)
+
+    def branch_rows(self) -> list[AlgebraicSolution]:
+        s, a = self.v1 + 0.25, abs(self.v2)
+        diff = self.threshold_distance()
+        r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
+        sq_p = 2.0 * math.sqrt(0.25 * s + 0.25 * a)  # sqrt(s + a), also where s + a overflows
+        nu = 1.0 if self.v2 > 0 else -1.0
+        kind = BranchKind.COMPLEX_PAIR_MEMBER if r.imag else BranchKind.REAL_SERIES
+        class_two = self.potential_class is PotentialClass.II
+        out = []
+        for eps in ((1, -1) if r else (1,)):
+            m = 0.5 * (sq_p + eps * r)
+            if _strictly_above(m.real, 0.5):
+                b = 0.5j * nu * (sq_p - eps * r)
+                if class_two:
+                    b = complex(b.imag, 0.0 - b.real)  # -i*b, with no -0.0 part
+                out.append(AlgebraicSolution(eps, kind, m.real, m.imag, b))
+        if not out:
+            raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {self}")
+        return out
+
+
+@dataclass(frozen=True)
+class ScarfSpec(_ScarfMatching):
     """V(x) = -v1 * sech(x)**2 - i * v2 * sech(x) * tanh(x),  v1 >= 0, v2 != 0.
 
     v1 = 0 (a purely imaginary potential) is admitted: the broken-coupling
     regime |v2| > v1 + 1/4 is reached there with small couplings.
     """
 
-    v1: float
-    v2: float
-
     family = "scarf2"
     potential_class = PotentialClass.I
-    box = SYMMETRIC_BOX
-    sweep_field = "v2"
 
     def __post_init__(self):
         super().__post_init__()
@@ -156,24 +201,13 @@ class ScarfSpec(FamilySpec):
         sech = 1.0 / np.cosh(x)
         return -self.v1 * sech**2 - 1j * self.v2 * sech * np.tanh(x)
 
-    def branch_rows(self):
-        """All admissible class-I branches of the complexified Scarf II potential.
-
-        The branches eps = +-1 of the matching equations m**2 - b**2 = v1 + 1/4
-        and 2*m*b = i*v2, each kept if m_re > 1/2; see `_scarf_pt_rows`.
-        """
-        return _scarf_pt_rows(self)
-
-    def threshold_distance(self) -> float:
-        return abs(self.v2) - (self.v1 + 0.25)
-
     def pt_symmetric(self) -> bool:
         """Always: sech is even, tanh odd and v1, v2 real, so V(-x)* == V(x)."""
         return True
 
 
 @dataclass(frozen=True)
-class PoschlTellerSpec(FamilySpec):
+class PoschlTellerSpec(_ScarfMatching):
     """V(x) = v1 * cosech(tau)**2 - v2 * cosech(tau) * coth(tau), tau = x - c - i*contour_gamma.
 
     Requires v1 > -1/4 and v2 != 0.  The contour shift contour_gamma must be
@@ -182,15 +216,11 @@ class PoschlTellerSpec(FamilySpec):
     spectrum depends on (v1, v2) alone.
     """
 
-    v1: float
-    v2: float
     c: float = 0.0
     contour_gamma: float = math.pi / 8
 
     family = "poschl-teller"
     potential_class = PotentialClass.II
-    box = SYMMETRIC_BOX
-    sweep_field = "v2"
 
     def __post_init__(self):
         super().__post_init__()
@@ -219,24 +249,8 @@ class PoschlTellerSpec(FamilySpec):
         v_far = (4.0 * self.v1 * q - 2.0 * self.v2 * np.exp(-s) * (1.0 + q)) / (1.0 - q) ** 2
         return np.where(far, v_far, v_near)
 
-    def branch_rows(self):
-        """All admissible class-II branches of the generalized Poschl-Teller potential.
-
-        The Scarf II branches with b multiplied by -i, b = nu * (sq_p - eps * r) / 2:
-        real below the critical coupling, complex above it.  The contour parameters
-        (c, gamma) pass through to the realization and leave the eigenvalue
-        series untouched.
-        """
-        return [
-            # -i*b, with no -0.0 part
-            AlgebraicSolution(eps, kind, m_re, m_im, complex(b.imag, 0.0 - b.real))
-            for eps, kind, m_re, m_im, b in _scarf_pt_rows(self)
-        ]
-
     def realization(self, b: complex) -> RealizationParams:
         return RealizationParams(PotentialClass.II, self.c, self.contour_gamma, b.real, b.imag)
-
-    threshold_distance = ScarfSpec.threshold_distance
 
     def pt_symmetric(self) -> bool:
         """Exactly when c == 0: V is an even, real-coefficient function of
@@ -368,39 +382,6 @@ def morse_from_ab(ab: MorseABSpec) -> MorseSpec:
         v2r=ab.gamma_p * ab.A,
         v2i=ab.delta_p * ab.B,
     )
-
-
-def _scarf_pt_rows(spec) -> list[AlgebraicSolution]:
-    """Branches of the Scarf II matching system, shared by Poschl-Teller.
-
-    With sq_p = sqrt(v1 + 1/4 + |v2|), the principal root
-    r = sqrt(v1 + 1/4 - |v2|) and nu = sign(v2), the branches eps = +-1 are
-
-        m = (sq_p + eps * r) / 2,    b = i * nu * (sq_p - eps * r) / 2.
-
-    r is real below the critical coupling |v2| = v1 + 1/4, where both
-    branches are real series, and imaginary above it, where they are a
-    complex-conjugate pair: the transition is the branch point of r.  Within
-    a relative band REG_TOL of the critical coupling r is 0, so that a sweep
-    sample landing there is the exact merge point, and the two coinciding
-    branches are kept once.  A branch is kept only if m_re > 1/2.  Both
-    families share m; b is the Scarf II amplitude, which Poschl-Teller
-    multiplies by -i.
-    """
-    s, a = spec.v1 + 0.25, abs(spec.v2)
-    diff = a - s  # spec.threshold_distance()
-    r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
-    sq_p = 2.0 * math.sqrt(0.25 * s + 0.25 * a)  # sqrt(s + a), also where s + a overflows
-    nu = 1.0 if spec.v2 > 0 else -1.0
-    kind = BranchKind.COMPLEX_PAIR_MEMBER if r.imag else BranchKind.REAL_SERIES
-    out = []
-    for eps in ((1, -1) if r else (1,)):
-        m = 0.5 * (sq_p + eps * r)
-        if _strictly_above(m.real, 0.5):
-            out.append(AlgebraicSolution(eps, kind, m.real, m.imag, 0.5j * nu * (sq_p - eps * r)))
-    if not out:
-        raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {spec}")
-    return out
 
 
 def _morse_roots(spec: MorseSpec) -> tuple[float, float, float, float]:

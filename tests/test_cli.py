@@ -533,6 +533,11 @@ BAD_INPUTS = {
                           "--gamma-p", "3", "--delta-p", "3"],
                          "morse requires a finite v1r of magnitude at most "
                          "1.79769313486231e+308, got inf"),
+    # v1i = 2AB underflows to 0, which MorseSpec rejects; 1e-160 exits 3
+    # (test_tiny_morse_couplings_exit_3_with_empty_document)
+    "morse-ab-2AB-underflows": (["analyze", "--family", "morse-ab", "--A", "1e-200",
+                                 "--B", "1e-200", "--gamma-p", "3", "--delta-p", "5"],
+                                "complexified Morse requires v1i != 0"),
     "morse-v1-1e308": (["analyze", "--family", "morse", "--v1r", "1e308", "--v1i", "1e308",
                         "--v2r", "1", "--v2i", "1"],
                        "Morse couplings too large: the matching equations overflow"),

@@ -366,6 +366,9 @@ class TestOneRoot:
 
     @settings(max_examples=120, deadline=None)
     @given(scarf_pt_couplings(v1_min=-0.25))
+    @example((1.0, 1.25)).via("threshold")
+    @example((1.0, 1.25 * (1.0 + 1.1e-12))).via("just outside the REG_TOL band")
+    @example((1.0, -1.25)).via("threshold with nu = -1")
     def test_poschl_teller_rows(self, couplings):
         spec = spec_or_reject(PoschlTellerSpec, couplings)
         assert row_bits(PoschlTellerSpec.branch_rows, spec) == row_bits(poschl_teller_rows, spec)
