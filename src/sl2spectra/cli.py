@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import families, spectrum
-from .algebra import GridFunction, tower_state
+from .algebra import GridFunction, energy_level, tower_state
 from .errors import InvalidSpec, NoConvergence, NoRegularBranch, SpectraError
 
 if TYPE_CHECKING:  # verify and wavefunction import the oracle, and numpy with it
@@ -97,7 +97,9 @@ def report_document(report: spectrum.SpectrumReport) -> str:
 
 
 def _branch_text(spec, sol, levels) -> str:
-    r = spec.realization(sol.b)
+    """One branch of the document.  Its realization is read from the validated
+    spec (class and contour) and the record (b); none is built."""
+    c, gamma = spec.contour()
     level_texts = [
         f'{{\n          "n": {lv.n},\n          "energy": [\n'
         f"            {_num(lv.energy.real)},\n            {_num(lv.energy.imag)}\n"
@@ -107,13 +109,13 @@ def _branch_text(spec, sol, levels) -> str:
     return (
         f'{{\n      "epsilon": {sol.epsilon},\n'
         f'      "branch_kind": {_quote(sol.branch_kind.value)},\n'
-        f'      "potential_class": {_quote(r.potential_class.value)},\n'
+        f'      "potential_class": {_quote(spec.potential_class.value)},\n'
         f'      "m_re": {_num(sol.m_re)},\n'
         f'      "m_im": {_num(sol.m_im)},\n'
-        f'      "b_re": {_num(r.b_re)},\n'
-        f'      "b_im": {_num(r.b_im)},\n'
-        f'      "c": {_num(r.c)},\n'
-        f'      "contour_gamma": {_num(r.gamma)},\n'
+        f'      "b_re": {_num(sol.b.real)},\n'
+        f'      "b_im": {_num(sol.b.imag)},\n'
+        f'      "c": {_num(c)},\n'
+        f'      "contour_gamma": {_num(gamma)},\n'
         f'      "n_max_exclusive": {_num(sol.n_max_exclusive)},\n'
         f'      "levels": {_array(level_texts, "      ")}\n'
         "    }"
@@ -229,10 +231,10 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _level_for(spec, epsilon: int, n: int):
-    """The (solution, level) pair for branch epsilon and index n."""
+    """The branch epsilon and the energy of its level n, built alone."""
     for sol in families.solve(spec):
         if sol.epsilon == epsilon and 0 <= n < spectrum.level_count(sol.n_max_exclusive):
-            return sol, spectrum.enumerate_levels(sol)[n]
+            return sol, energy_level(sol.m, n)
     raise InvalidSpec(f"no level (epsilon={epsilon}, n={n})")
 
 
@@ -264,13 +266,13 @@ def _read_profile(path: str) -> GridFunction:
 
 
 def _verify_from_file(config: RunConfig) -> int:
-    _, level = _level_for(config.spec, config.epsilon, config.n)
+    _, energy = _level_for(config.spec, config.epsilon, config.n)
     psi = _read_profile(config.from_file)
     from . import oracle
 
-    res = oracle.residual(psi, config.spec.potential, level.energy)
+    res = oracle.residual(psi, config.spec.potential, energy)
     ok = res < oracle.DEFAULT_RESIDUAL_TOL
-    row = (level.energy.real + 0.0, level.energy.imag + 0.0, res + 0.0, str(ok).lower())
+    row = (energy.real + 0.0, energy.imag + 0.0, res + 0.0, str(ok).lower())
     _emit(
         _csv_text("E_closed_re,E_closed_im,residual,matched", "%.15g,%.15g,%.15g,%s", [row]),
         config.output,

@@ -13,7 +13,11 @@ real to complex levels, and sqrt(2 * v1) for Morse.
 Each family is one FamilySpec class, and FAMILIES maps family names to
 those classes; the rest of the package reads everything family-specific
 from the spec.  Scarf II and Poschl-Teller derive from `_ScarfMatching`,
-which states their shared matching system once.
+which states their shared matching system once.  Morse and Morse-AB share
+the module functions of the four Morse couplings: `_morse_checked_roots`
+holds every MorseSpec check, and `_morse_rows` and `_reality_residual` the
+branch arithmetic, so a Morse-AB spec reads its rows and residual from its
+mapped couplings without building a MorseSpec.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ class AlgebraicSolution(NamedTuple):
 
     Levels are n = 0, 1, ... with n < n_max_exclusive = m_re - 1/2; the
     branch tag epsilon distinguishes the two solution sets of the Scarf and
-    Poschl-Teller matching systems.  The branch's realization is
-    `spec.realization(b)`, built only where it is read.
+    Poschl-Teller matching systems.  The branch's validated realization is
+    `spec.realization(b)`, which only `wavefunction` builds; the analyze
+    document reads the class, b and `spec.contour()` as they are.
     """
 
     epsilon: int
@@ -71,6 +76,16 @@ def _strictly_above(value: float, bound: float) -> bool:
     return value - bound > REG_TOL * max(1.0, abs(value), abs(bound))
 
 
+def _require_bounded(family: str, couplings: dict[str, float]) -> None:
+    """Raise InvalidSpec for the first coupling that is not finite or exceeds MAX_COUPLING."""
+    for name, value in couplings.items():
+        if not abs(value) <= MAX_COUPLING:  # also false for nan
+            raise InvalidSpec(
+                f"{family} requires a finite {name} of magnitude at most "
+                f"{MAX_COUPLING:.15g}, got {value}"
+            )
+
+
 class FamilySpec:
     """Base of the family specs: one frozen dataclass per family, listed in FAMILIES.
 
@@ -81,8 +96,8 @@ class FamilySpec:
     `potential` and `branch_rows`, which returns an AlgebraicSolution per
     admissible branch or raises NoRegularBranch, and overrides
     the closed-form hooks below where it differs from the base.  Couplings
-    that are not finite or exceed MAX_COUPLING in magnitude are rejected
-    here, once for every family.
+    that are not finite or exceed MAX_COUPLING in magnitude are rejected by
+    `_require_bounded`, the one such check every family runs.
     """
 
     family: ClassVar[str]
@@ -91,16 +106,16 @@ class FamilySpec:
     sweep_field: ClassVar[str | None] = None
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not abs(value) <= MAX_COUPLING:  # also false for nan
-                raise InvalidSpec(
-                    f"{self.family} requires a finite {name} of magnitude at most "
-                    f"{MAX_COUPLING:.15g}, got {value}"
-                )
+        _require_bounded(self.family, vars(self))
+
+    def contour(self) -> tuple[float, float]:
+        """The contour shift (c, gamma) of the family's realizations; none in the base."""
+        return 0.0, 0.0
 
     def realization(self, b: complex) -> RealizationParams:
-        """The realization of a branch with amplitude b (no contour shift)."""
-        return RealizationParams(self.potential_class, b_re=b.real, b_im=b.imag)
+        """The validated realization of a branch with amplitude b, on the family's contour."""
+        c, gamma = self.contour()
+        return RealizationParams(self.potential_class, c, gamma, b.real, b.imag)
 
     def parameters(self) -> dict[str, float]:
         """The couplings by field name, in field order (the instance holds nothing else)."""
@@ -249,8 +264,8 @@ class PoschlTellerSpec(_ScarfMatching):
         v_far = (4.0 * self.v1 * q - 2.0 * self.v2 * np.exp(-s) * (1.0 + q)) / (1.0 - q) ** 2
         return np.where(far, v_far, v_near)
 
-    def realization(self, b: complex) -> RealizationParams:
-        return RealizationParams(PotentialClass.II, self.c, self.contour_gamma, b.real, b.imag)
+    def contour(self) -> tuple[float, float]:
+        return self.c, self.contour_gamma
 
     def pt_symmetric(self) -> bool:
         """Exactly when c == 0: V is an even, real-coefficient function of
@@ -272,15 +287,7 @@ class MorseSpec(FamilySpec):
     box = MORSE_BOX
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.v1i == 0:
-            raise InvalidSpec("complexified Morse requires v1i != 0")
-        # Bounds the denominator 2*sqrt(2)*D and every numerator of
-        # branch_rows and reality_residual, so none of them overflows.
-        delta, _, sp, sm = _morse_roots(self)
-        v2_size = abs(self.v2r) + abs(self.v2i) + 1.0
-        if not math.isfinite(max(1.0, 2 * math.sqrt(2) * delta) * max(1.0, sp + sm) * v2_size):
-            raise InvalidSpec("Morse couplings too large: the matching equations overflow")
+        _morse_checked_roots(self.v1r, self.v1i, self.v2r, self.v2i)
 
     def potential(self, x):
         import numpy as np
@@ -291,41 +298,10 @@ class MorseSpec(FamilySpec):
         ) * np.exp(-x)
 
     def branch_rows(self):
-        """The single admissible class-III branch of the complexified Morse potential.
-
-        The matching equations are b**2 = v1 and 2*m*b = v2.  With
-        D = sqrt(v1r**2 + v1i**2), nu = sign(v1i) and the principal root
-        sqrt(2 * v1) = sqrt(v1r + D) + i * nu * sqrt(-v1r + D), regularity fixes
-
-            b = sqrt(2 * v1) / sqrt(2),
-            m = conj(sqrt(2 * v1)) * (v2r + i*v2i) / (2 * sqrt(2) * D),
-
-        which gives b_re > 0, and the branch exists iff m_re > 1/2, i.e.
-        sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D, and b_re clears
-        the REG_TOL margin, which it misses when v1r + D is below ~2e-24 (a
-        tiny |v1|, or v1r < 0 with a tiny v1i).  The level series
-        is real exactly when the reality residual vanishes (tolerance REG_TOL);
-        otherwise the complex levels come unpaired, the conjugate levels
-        belonging to the conjugated potential.
-        """
-        roots = _morse_roots(self)
-        delta, nu, sp, sm = roots
-        root = complex(sp, nu * sm)  # sqrt(2 * v1), principal branch
-        b = root / math.sqrt(2)
-        numerator = root.conjugate() * complex(self.v2r, self.v2i)
-        denom = 2 * math.sqrt(2) * delta
-        # part by part: a complex / float division can turn an m_re of -0.0 into 0.0
-        m_re, m_im = numerator.real / denom, numerator.imag / denom
-        if not _strictly_above(m_re, 0.5):
-            raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
-        if not _strictly_above(b.real, 0.0):
-            raise NoRegularBranch(f"Morse regularity fails: b_re = {b.real:.6g} is not > 0")
-        if _reality_residual(self, roots) <= REG_TOL:
-            return [AlgebraicSolution(1, BranchKind.REAL_SERIES, m_re, 0.0, b)]
-        return [AlgebraicSolution(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
+        return _morse_rows(self.v2r, self.v2i, _morse_roots(self.v1r, self.v1i))
 
     def reality_residual(self) -> float:
-        return _reality_residual(self, _morse_roots(self))
+        return _reality_residual(self.v2r, self.v2i, _morse_roots(self.v1r, self.v1i))
 
 
 @dataclass(frozen=True)
@@ -360,10 +336,12 @@ class MorseABSpec(FamilySpec):
         return morse_from_ab(self).potential(x)
 
     def branch_rows(self):
-        return morse_from_ab(self).branch_rows()
+        v1r, v1i, v2r, v2i = _morse_couplings(self)
+        return _morse_rows(v2r, v2i, _morse_checked_roots(v1r, v1i, v2r, v2i))
 
     def reality_residual(self) -> float:
-        return morse_from_ab(self).reality_residual()
+        v1r, v1i, v2r, v2i = _morse_couplings(self)
+        return _reality_residual(v2r, v2i, _morse_checked_roots(v1r, v1i, v2r, v2i))
 
 
 FAMILIES: dict[str, type[FamilySpec]] = {
@@ -372,36 +350,93 @@ FAMILIES: dict[str, type[FamilySpec]] = {
 
 
 def morse_from_ab(ab: MorseABSpec) -> MorseSpec:
+    """The MorseSpec of a Morse-AB spec's couplings, validated as any MorseSpec."""
+    return MorseSpec(*_morse_couplings(ab))
+
+
+def _morse_couplings(ab: MorseABSpec) -> tuple[float, float, float, float]:
     """Exact coupling map v1r = A**2 - B**2, v1i = 2AB, v2r = gamma_p*A, v2i = delta_p*B.
 
-    Products, not powers: an overflow becomes inf, which MorseSpec rejects.
+    Products, not powers: an overflow becomes inf, which `_morse_checked_roots` rejects.
     """
-    return MorseSpec(
-        v1r=ab.A * ab.A - ab.B * ab.B,
-        v1i=2 * ab.A * ab.B,
-        v2r=ab.gamma_p * ab.A,
-        v2i=ab.delta_p * ab.B,
-    )
+    return ab.A * ab.A - ab.B * ab.B, 2 * ab.A * ab.B, ab.gamma_p * ab.A, ab.delta_p * ab.B
 
 
-def _morse_roots(spec: MorseSpec) -> tuple[float, float, float, float]:
+def _morse_checked_roots(
+    v1r: float, v1i: float, v2r: float, v2i: float
+) -> tuple[float, float, float, float]:
+    """The `_morse_roots` of Morse couplings that pass every MorseSpec check.
+
+    The couplings must be finite and at most MAX_COUPLING in magnitude, v1i
+    must be nonzero, and the denominator 2*sqrt(2)*D and every numerator of
+    `_morse_rows` and `_reality_residual` must stay finite; otherwise this
+    raises InvalidSpec.  MorseSpec validates itself here, and MorseABSpec its
+    mapped couplings.
+    """
+    _require_bounded(MorseSpec.family, {"v1r": v1r, "v1i": v1i, "v2r": v2r, "v2i": v2i})
+    if v1i == 0:
+        raise InvalidSpec("complexified Morse requires v1i != 0")
+    roots = _morse_roots(v1r, v1i)
+    delta, _, sp, sm = roots
+    v2_size = abs(v2r) + abs(v2i) + 1.0
+    if not math.isfinite(max(1.0, 2 * math.sqrt(2) * delta) * max(1.0, sp + sm) * v2_size):
+        raise InvalidSpec("Morse couplings too large: the matching equations overflow")
+    return roots
+
+
+def _morse_roots(v1r: float, v1i: float) -> tuple[float, float, float, float]:
     """D = |v1r + i*v1i|, nu = sign(v1i), sqrt(v1r + D) and sqrt(-v1r + D)."""
-    delta = math.hypot(spec.v1r, spec.v1i)
-    nu = 1.0 if spec.v1i > 0 else -1.0
-    return delta, nu, math.sqrt(delta + spec.v1r), math.sqrt(delta - spec.v1r)
+    delta = math.hypot(v1r, v1i)
+    nu = 1.0 if v1i > 0 else -1.0
+    return delta, nu, math.sqrt(delta + v1r), math.sqrt(delta - v1r)
 
 
-def _reality_residual(spec: MorseSpec, roots: tuple[float, float, float, float]) -> float:
+def _morse_rows(v2r: float, v2i: float, roots) -> list[AlgebraicSolution]:
+    """The single admissible class-III branch of the complexified Morse potential.
+
+    The matching equations are b**2 = v1 and 2*m*b = v2.  With
+    D = sqrt(v1r**2 + v1i**2), nu = sign(v1i) and the principal root
+    sqrt(2 * v1) = sqrt(v1r + D) + i * nu * sqrt(-v1r + D), regularity fixes
+
+        b = sqrt(2 * v1) / sqrt(2),
+        m = conj(sqrt(2 * v1)) * (v2r + i*v2i) / (2 * sqrt(2) * D),
+
+    which gives b_re > 0, and the branch exists iff m_re > 1/2, i.e.
+    sqrt(v1r + D)*v2r + nu*sqrt(-v1r + D)*v2i > sqrt(2)*D, and b_re clears
+    the REG_TOL margin, which it misses when v1r + D is below ~2e-24 (a
+    tiny |v1|, or v1r < 0 with a tiny v1i).  The level series
+    is real exactly when the reality residual vanishes (tolerance REG_TOL);
+    otherwise the complex levels come unpaired, the conjugate levels
+    belonging to the conjugated potential.  roots are the couplings'
+    `_morse_roots`, which carry v1.
+    """
+    delta, nu, sp, sm = roots
+    root = complex(sp, nu * sm)  # sqrt(2 * v1), principal branch
+    b = root / math.sqrt(2)
+    numerator = root.conjugate() * complex(v2r, v2i)
+    denom = 2 * math.sqrt(2) * delta
+    # part by part: a complex / float division can turn an m_re of -0.0 into 0.0
+    m_re, m_im = numerator.real / denom, numerator.imag / denom
+    if not _strictly_above(m_re, 0.5):
+        raise NoRegularBranch(f"Morse regularity fails: m_re = {m_re:.6g} is not > 1/2")
+    if not _strictly_above(b.real, 0.0):
+        raise NoRegularBranch(f"Morse regularity fails: b_re = {b.real:.6g} is not > 0")
+    if _reality_residual(v2r, v2i, roots) <= REG_TOL:
+        return [AlgebraicSolution(1, BranchKind.REAL_SERIES, m_re, 0.0, b)]
+    return [AlgebraicSolution(1, BranchKind.COMPLEX_UNPAIRED, m_re, m_im, b)]
+
+
+def _reality_residual(v2r: float, v2i: float, roots) -> float:
     """Relative residual of the real-spectrum condition for the Morse family,
-    from the spec's `_morse_roots`, which `branch_rows` holds already.
+    from the couplings' `_morse_roots`, which `_morse_rows` holds already.
 
     The single Morse branch has a purely real level series exactly when
     sqrt(v1r + D) * v2i = nu * sqrt(-v1r + D) * v2r, with D = |v1r + i*v1i|
     and nu = sign(v1i); this returns |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
     _, nu, sp, sm = roots
-    lhs = sp * spec.v2i
-    rhs = nu * sm * spec.v2r
+    lhs = sp * v2i
+    rhs = nu * sm * v2r
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 

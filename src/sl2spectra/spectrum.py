@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import families
 from .algebra import energy_level
@@ -31,8 +32,7 @@ class Classification(Enum):
     EMPTY = "Empty"
 
 
-@dataclass(frozen=True)
-class EigenLevel:
+class EigenLevel(NamedTuple):
     """One emitted bound level of a branch; emitted levels are always regular."""
 
     n: int
@@ -57,8 +57,9 @@ class SpectrumReport:
     reality_condition_residual: float | None
 
 
-@dataclass(frozen=True)
-class PhaseDiagramRow:
+class PhaseDiagramRow(NamedTuple):
+    """One scan sample: the swept value, its level counts and its phase."""
+
     swept_value: float
     real_level_count: int
     complex_pair_count: int
@@ -84,7 +85,7 @@ def enumerate_levels(sol: AlgebraicSolution) -> list[EigenLevel]:
     """Emit levels n = 0, 1, ... below the branch bound, with their energies."""
     m, epsilon = sol.m, sol.epsilon
     return [
-        EigenLevel(n=n, energy=energy_level(m, n), epsilon=epsilon)
+        EigenLevel(n, energy_level(m, n), epsilon)
         for n in range(level_count(sol.n_max_exclusive))
     ]
 

@@ -69,7 +69,7 @@ def poschl_teller_rows(spec) -> list[tuple[int, BranchKind, float, float, comple
 
 def morse_rows(spec) -> list[tuple[int, BranchKind, float, float, complex]]:
     """The Morse branch row from the real and imaginary parts of sqrt(2 * v1)."""
-    delta, nu, sp, sm = _morse_roots(spec)
+    delta, nu, sp, sm = _morse_roots(spec.v1r, spec.v1i)
     b_re = sp / math.sqrt(2)
     b_im = nu * sm / math.sqrt(2)
     denom = 2 * math.sqrt(2) * delta

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from sl2spectra import InvalidSpec, PotentialClass, cli, families, oracle, spectrum
+from sl2spectra import InvalidSpec, PotentialClass, algebra, cli, families, oracle, spectrum
 from sl2spectra.cli import (
     EXIT_INVALID,
     EXIT_NO_BRANCH,
@@ -970,6 +970,40 @@ def test_json_text_of_analyze_documents(family):
     text = report_document(report)
     assert text == reference_text(report)
     assert (json.loads(text)["branches"] == []) == (family == "empty")
+
+
+def constructions(monkeypatch, cls) -> list:
+    """The instances of cls built from now on, in order, counted in its __post_init__."""
+    built = []
+    post_init = cls.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("family", EXAMPLES)
+def test_closed_form_ops_build_no_validated_object_twice(family, monkeypatch):
+    # analyze and scan validate each spec once, in its constructor: a Morse-AB
+    # op builds no MorseSpec, and no analyze document or scan builds a
+    # RealizationParams.  wavefunction, which evaluates the realization, builds one.
+    spec = EXAMPLES[family]
+    morse_specs = constructions(monkeypatch, families.MorseSpec)
+    realizations = constructions(monkeypatch, algebra.RealizationParams)
+    assert main(["analyze", *family_argv(spec)]) == EXIT_OK
+    if spec.sweep_field:
+        argv = family_argv(spec)
+        cut = argv.index("--" + spec.sweep_field.replace("_", "-"))
+        del argv[cut:cut + 2]
+        assert main(["scan", *argv, "--start", "2", "--stop", "4", "--step", "0.5"]) == EXIT_OK
+    assert len(morse_specs) == (family == "morse")  # the morse op's own spec
+    assert realizations == []
+    argv = [*family_argv(spec), "--epsilon", "1", "--n", "0", "--n-points", "401"]
+    assert main(["wavefunction", *argv]) == EXIT_OK
+    assert len(realizations) == 1
 
 
 def test_closed_form_documents_match_the_goldens():

@@ -16,6 +16,7 @@ from sl2spectra import (
     PoschlTellerSpec,
     PotentialClass,
     ScarfSpec,
+    SpectraError,
     morse_from_ab,
     solve,
 )
@@ -321,13 +322,22 @@ def morse_couplings(draw):
 
 
 def row_bits(rows_of, spec):
-    """Every field of the branch rows by float.hex, or the NoRegularBranch message."""
+    """Every field of the branch rows by float.hex, or the type and message of
+    the SpectraError raised."""
     try:
         rows = rows_of(spec)
-    except NoRegularBranch as exc:
-        return str(exc)
+    except SpectraError as exc:
+        return type(exc), str(exc)
     return [(eps, kind, m_re.hex(), m_im.hex(), b.real.hex(), b.imag.hex())
             for eps, kind, m_re, m_im, b in rows]
+
+
+def residual_bits(residual_of, spec):
+    """The reality residual by float.hex, or the type and message of the SpectraError raised."""
+    try:
+        return residual_of(spec).hex()
+    except SpectraError as exc:
+        return type(exc), str(exc)
 
 
 def assert_branch_invariants(spec):
@@ -381,3 +391,33 @@ class TestOneRoot:
         spec = spec_or_reject(MorseSpec, couplings)
         assert row_bits(MorseSpec.branch_rows, spec) == row_bits(morse_rows, spec)
         assert_branch_invariants(spec)
+
+
+class TestMorseABCouplings:
+    """A Morse-AB spec reads its rows and residual from its mapped couplings,
+    bit for bit and error for error as the MorseSpec `morse_from_ab` builds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.tuples(COUPLINGS.map(abs), COUPLINGS, COUPLINGS, COUPLINGS))
+    @example((1e-200, 1e-200, 3.0, 5.0)).via("2AB underflows to 0")
+    @example((1e200, 1.0, 3.0, 3.0)).via("A**2 - B**2 overflows")
+    @example((1e-160, 1e-160, 3.0, 5.0)).via("no regular branch")
+    def test_rows_and_residual(self, couplings):
+        spec = spec_or_reject(MorseABSpec, couplings)
+        assert row_bits(MorseABSpec.branch_rows, spec) == row_bits(
+            lambda ab: morse_from_ab(ab).branch_rows(), spec)
+        assert residual_bits(MorseABSpec.reality_residual, spec) == residual_bits(
+            lambda ab: morse_from_ab(ab).reality_residual(), spec)
+
+    @pytest.mark.parametrize("couplings, error, message", [
+        ((1e-200, 1e-200, 3.0, 5.0), InvalidSpec, "complexified Morse requires v1i != 0"),
+        ((1e200, 1.0, 3.0, 3.0), InvalidSpec,
+         "morse requires a finite v1r of magnitude at most 1.79769313486231e+308, got inf"),
+        ((1e-160, 1e-160, 3.0, 5.0), NoRegularBranch,
+         "Morse regularity fails: b_re = 9.99994e-161 is not > 0"),
+    ], ids=["v1i-underflows", "v1r-overflows", "b_re-below-margin"])
+    def test_edges(self, couplings, error, message):
+        """The property's examples: exit 2, 2 and 3 on the CLI."""
+        with pytest.raises(error) as raised:
+            MorseABSpec(*couplings).branch_rows()
+        assert str(raised.value) == message

@@ -24,6 +24,7 @@ from sl2spectra.families import FAMILIES, REG_TOL, BranchKind, with_swept_value
 from sl2spectra.spectrum import (
     MAX_LEVEL_COUNT,
     MAX_SWEEP_SAMPLES,
+    EigenLevel,
     PhaseDiagramRow,
     classify,
     enumerate_levels,
@@ -49,6 +50,22 @@ class TestLevelCount:
         for bound in (MAX_LEVEL_COUNT + 0.5, 1e150, math.inf, math.nan):
             with pytest.raises(InvalidSpec):
                 level_count(bound)
+
+
+@pytest.mark.parametrize("cls, values", [
+    (EigenLevel, {"n": 2, "energy": -0.25 + 0.5j, "epsilon": -1}),
+    (PhaseDiagramRow, {"swept_value": 1.5, "real_level_count": 3, "complex_pair_count": 0,
+                       "classification": Classification.ALL_REAL}),
+], ids=["EigenLevel", "PhaseDiagramRow"])
+def test_records_are_immutable(cls, values):
+    """Keyword and positional construction give the same record, its fields in
+    this order, and no field can be assigned."""
+    record = cls(**values)
+    assert record == cls(*values.values())
+    assert [getattr(record, name) for name in values] == list(values.values())
+    for name in values:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[name])
 
 
 class TestEnumerate:
