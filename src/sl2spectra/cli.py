@@ -180,8 +180,8 @@ def _csv_text(header: str, row_format: str, rows) -> str:
     """RFC 4180 text: the header line, then each row tuple written by row_format.
 
     Every line ends in CRLF, and no field written here needs quoting.  Each
-    %.15g field takes a float whose -0.0 is folded into 0.0 (x + 0.0), so a
-    zero is always written "0".
+    %.15g field takes a float whose -0.0 is folded into 0.0 (x + 0.0, or a
+    scan sample, which is never -0.0), so a zero is always written "0".
     """
     line = row_format + "\r\n"
     return header + "\r\n" + "".join([line % row for row in rows])
@@ -199,11 +199,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_scan(config: RunConfig) -> int:
-    start, stop, step = config.sweep
-    rows = [
-        (r.swept_value + 0.0, r.real_level_count, r.complex_pair_count, r.classification.value)
-        for r in spectrum.scan_threshold(config.spec, start, stop, step)
-    ]
+    rows = spectrum.scan_threshold(config.spec, *config.sweep)  # each row is its CSV line's tuple
     _emit(
         _csv_text("swept_value,real_levels,complex_pairs,classification", "%.15g,%d,%d,%s", rows),
         config.output,

@@ -172,20 +172,25 @@ class _ScarfMatching(FamilySpec):
 
     def branch_rows(self) -> list[AlgebraicSolution]:
         s, a = self.v1 + 0.25, abs(self.v2)
-        diff = self.threshold_distance()
-        r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
+        diff = a - s  # threshold_distance()
+        # the band is REG_TOL * max(1.0, a, s), written without the slower max() call
+        scale = a if a > s else s
+        r = 0j if abs(diff) <= REG_TOL * (scale if scale > 1.0 else 1.0) else cmath.sqrt(-diff)
         sq_p = 2.0 * math.sqrt(0.25 * s + 0.25 * a)  # sqrt(s + a), also where s + a overflows
-        nu = 1.0 if self.v2 > 0 else -1.0
+        half_i_nu = 0.5j if self.v2 > 0 else -0.5j  # 0.5j * nu, nu = sign(v2)
         kind = BranchKind.COMPLEX_PAIR_MEMBER if r.imag else BranchKind.REAL_SERIES
         class_two = self.potential_class is PotentialClass.II
         out = []
         for eps in ((1, -1) if r else (1,)):
-            m = 0.5 * (sq_p + eps * r)
-            if _strictly_above(m.real, 0.5):
-                b = 0.5j * nu * (sq_p - eps * r)
+            eps_r = eps * r
+            m = 0.5 * (sq_p + eps_r)
+            m_re = m.real
+            # _strictly_above(m_re, 0.5); a negative m_re fails it at either scale
+            if m_re - 0.5 > REG_TOL * (m_re if m_re > 1.0 else 1.0):
+                b = half_i_nu * (sq_p - eps_r)
                 if class_two:
                     b = complex(b.imag, 0.0 - b.real)  # -i*b, with no -0.0 part
-                out.append(AlgebraicSolution(eps, kind, m.real, m.imag, b))
+                out.append(AlgebraicSolution(eps, kind, m_re, m.imag, b))
         if not out:
             raise NoRegularBranch(f"no branch satisfies m_re > 1/2 for {self}")
         return out

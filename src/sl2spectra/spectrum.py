@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import StrEnum
 from typing import NamedTuple
 
 from . import families
 from .algebra import energy_level
-from .errors import InvalidSpec
-from .families import AlgebraicSolution, BranchKind
+from .errors import InvalidSpec, NoRegularBranch
+from .families import REG_TOL, AlgebraicSolution, BranchKind
 
 # Levels per branch grow like sqrt(v1).  Far past any level count the oracle
 # can resolve, enumerating them would only exhaust memory.
@@ -25,7 +25,9 @@ MAX_LEVEL_COUNT = 10_000
 MAX_SWEEP_SAMPLES = 100_000
 
 
-class Classification(Enum):
+class Classification(StrEnum):
+    """The phase of a spectrum; str() and "%s" write its value, as the documents do."""
+
     ALL_REAL = "AllReal"
     BROKEN_CONJUGATE_PAIRS = "BrokenConjugatePairs"
     COMPLEX_UNPAIRED = "ComplexUnpaired"
@@ -58,7 +60,11 @@ class SpectrumReport:
 
 
 class PhaseDiagramRow(NamedTuple):
-    """One scan sample: the swept value, its level counts and its phase."""
+    """One scan sample: the swept value, its level counts and its phase.
+
+    The row is the tuple the `scan` CSV line formats: the swept value is a
+    `sweep_values` sample, never -0.0, and the phase writes its value.
+    """
 
     swept_value: float
     real_level_count: int
@@ -77,8 +83,9 @@ def level_count(n_max_exclusive: float) -> int:
         raise InvalidSpec(
             f"{n_max_exclusive:.6g} closed-form levels exceed the cap of {MAX_LEVEL_COUNT}"
         )
-    guard = families.REG_TOL * max(1.0, abs(n_max_exclusive))
-    return max(0, math.ceil(n_max_exclusive - guard))
+    scale = abs(n_max_exclusive)  # max(1.0, scale) below, without the call
+    count = math.ceil(n_max_exclusive - REG_TOL * (scale if scale > 1.0 else 1.0))
+    return count if count > 0 else 0
 
 
 def enumerate_levels(sol: AlgebraicSolution) -> list[EigenLevel]:
@@ -153,6 +160,7 @@ def sweep_values(start: float, stop: float, step: float) -> list[float]:
     if not samples < MAX_SWEEP_SAMPLES:
         raise InvalidSpec(f"sweep of {samples:.6g} samples exceeds the cap of {MAX_SWEEP_SAMPLES}")
     count = int(math.floor(samples)) + 1
+    # k * step is +0.0 at k = 0, so a start of -0.0 gives the sample 0.0
     return [start + k * step for k in range(count)]
 
 
@@ -162,23 +170,42 @@ def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[Ph
     Scarf/Poschl-Teller sweep v2 across the critical coupling v1 + 1/4;
     Morse-AB sweeps delta_p across gamma_p.  Each row counts real levels and
     complex-conjugate level pairs (unpaired complex Morse levels contribute
-    to neither count; the classification column carries the phase).  Levels
-    are counted from each sample's branches, and no realization is built.
+    to neither count; the classification column carries the phase).  Each
+    sample is built through its family's constructor, as
+    `families.with_swept_value` builds it, and its levels are counted from
+    its branches in one pass; no level or realization is built.  A range
+    error is raised before a family without a sweep field is named.
     """
+    values = sweep_values(start, stop, step)
+    field = base_spec.sweep_field
+    if field is None:
+        raise InvalidSpec(f"family {base_spec.family!r} has no sweep parameter")
+    family, couplings = type(base_spec), dict(vars(base_spec))
     rows = []
-    for value in sweep_values(start, stop, step):
+    for value in values:
+        couplings[field] = value
         try:
-            branches = families.with_swept_value(base_spec, value).branch_rows()
-        except families.NoRegularBranch:
+            branches = family(**couplings).branch_rows()
+        except NoRegularBranch:
             rows.append(PhaseDiagramRow(value, 0, 0, Classification.EMPTY))
             continue
-        real = paired = 0
+        real = paired = unpaired = 0
         for sol in branches:
             count = level_count(sol.n_max_exclusive)  # every branch, so the cap holds for each
-            if sol.branch_kind is BranchKind.REAL_SERIES:
+            kind = sol.branch_kind
+            if kind is BranchKind.REAL_SERIES:
                 real += count
-            elif sol.branch_kind is BranchKind.COMPLEX_PAIR_MEMBER:
+            elif kind is BranchKind.COMPLEX_PAIR_MEMBER:
                 paired += count
-        kinds = [sol.branch_kind for sol in branches]
-        rows.append(PhaseDiagramRow(value, real, paired // 2, _classification_of(kinds)))
+            else:
+                unpaired += count
+        # every regular branch emits a level, so a count is nonzero exactly
+        # where its kind is present, and the phase follows _classification_of
+        if paired:
+            phase = Classification.BROKEN_CONJUGATE_PAIRS
+        elif unpaired:
+            phase = Classification.COMPLEX_UNPAIRED
+        else:
+            phase = Classification.ALL_REAL
+        rows.append(PhaseDiagramRow(value, real, paired // 2, phase))
     return rows

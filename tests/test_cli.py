@@ -228,6 +228,16 @@ class TestScan:
         _, rows = parse_csv(out)
         assert rows == [[v, "0", "0", "Empty"] for v in ("2", "3", "4")]
 
+    def test_negative_zero_start_is_written_0(self, capsys):
+        # the first sample is -0.0 + 0 * step, which is 0.0
+        code, out = run_cli(
+            capsys,
+            ["scan", "--family", "morse-ab", "--A", "1", "--B", "1", "--gamma-p", "3",
+             "--start=-0.0", "--stop", "1", "--step", "0.5"],
+        )
+        assert code == 0
+        assert out.split("\r\n")[1] == "0,0,0,ComplexUnpaired"
+
     def test_crlf_line_endings(self, capsys):
         _, out = run_cli(
             capsys,
@@ -509,6 +519,11 @@ BAD_INPUTS = {
                                      "more"),
     "scan-morse": (["scan", *MORSE, "--start", "0", "--stop", "1", "--step", "0.5"],
                    "family 'morse' has no sweep parameter"),
+    # the range is checked before the family's sweep field
+    "scan-morse-empty-range": (["scan", "--family", "morse", "--v1r", "0.5", "--v1i", "2",
+                                "--v2r", "3", "--v2i", "1.5", "--start", "1", "--stop", "0",
+                                "--step", "0.5"],
+                               "empty range: stop 0.0 < start 1.0"),
     # scan takes v2 from --start: each sample goes through its family's
     # constructor, so a sample in mid-sweep that the family rejects exits 2
     "scan-scarf-v2-crosses-0": (["scan", "--family", "scarf2", "--v1", "1", "--start", "-1",
