@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, NamedTuple
@@ -73,7 +74,11 @@ class AlgebraicSolution(NamedTuple):
 
 
 def _strictly_above(value: float, bound: float) -> bool:
-    return value - bound > REG_TOL * max(1.0, abs(value), abs(bound))
+    """value - bound > REG_TOL * max(1.0, |value|, |bound|), without the max() call."""
+    scale, other = abs(value), abs(bound)
+    if scale < other:
+        scale = other
+    return value - bound > REG_TOL * (scale if scale > 1.0 else 1.0)
 
 
 def _require_bounded(family: str, couplings: dict[str, float]) -> None:
@@ -172,10 +177,8 @@ class _ScarfMatching(FamilySpec):
 
     def branch_rows(self) -> list[AlgebraicSolution]:
         s, a = self.v1 + 0.25, abs(self.v2)
-        diff = a - s  # threshold_distance()
-        # the band is REG_TOL * max(1.0, a, s), written without the slower max() call
-        scale = a if a > s else s
-        r = 0j if abs(diff) <= REG_TOL * (scale if scale > 1.0 else 1.0) else cmath.sqrt(-diff)
+        diff = self.threshold_distance()
+        r = 0j if abs(diff) <= REG_TOL * max(1.0, a, s) else cmath.sqrt(-diff)
         sq_p = 2.0 * math.sqrt(0.25 * s + 0.25 * a)  # sqrt(s + a), also where s + a overflows
         half_i_nu = 0.5j if self.v2 > 0 else -0.5j  # 0.5j * nu, nu = sign(v2)
         kind = BranchKind.COMPLEX_PAIR_MEMBER if r.imag else BranchKind.REAL_SERIES
@@ -185,8 +188,7 @@ class _ScarfMatching(FamilySpec):
             eps_r = eps * r
             m = 0.5 * (sq_p + eps_r)
             m_re = m.real
-            # _strictly_above(m_re, 0.5); a negative m_re fails it at either scale
-            if m_re - 0.5 > REG_TOL * (m_re if m_re > 1.0 else 1.0):
+            if _strictly_above(m_re, 0.5):
                 b = half_i_nu * (sq_p - eps_r)
                 if class_two:
                     b = complex(b.imag, 0.0 - b.real)  # -i*b, with no -0.0 part
@@ -450,11 +452,24 @@ def solve(spec: FamilySpec) -> list[AlgebraicSolution]:
     return spec.branch_rows()
 
 
-def with_swept_value(spec: FamilySpec, value: float) -> FamilySpec:
-    """A spec of spec's family with its sweep field (`spec.sweep_field`) set to value.
+def sweep_builder(spec: FamilySpec) -> Callable[[float], FamilySpec]:
+    """The function that builds spec with its sweep field (`spec.sweep_field`) set to a value.
 
-    Built through the family's constructor, so each sample is validated.
+    Each spec is built through the family's constructor, so each sample is
+    validated.  A family without a sweep field raises InvalidSpec.
     """
-    if spec.sweep_field is None:
+    field = spec.sweep_field
+    if field is None:
         raise InvalidSpec(f"family {spec.family!r} has no sweep parameter")
-    return type(spec)(**{**vars(spec), spec.sweep_field: value})
+    family, couplings = type(spec), dict(vars(spec))
+
+    def build(value: float) -> FamilySpec:
+        couplings[field] = value
+        return family(**couplings)
+
+    return build
+
+
+def with_swept_value(spec: FamilySpec, value: float) -> FamilySpec:
+    """A spec of spec's family with its sweep field set to value (see `sweep_builder`)."""
+    return sweep_builder(spec)(value)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import StrEnum
+from enum import Enum
 from typing import NamedTuple
 
 from . import families
 from .algebra import energy_level
 from .errors import InvalidSpec, NoRegularBranch
-from .families import REG_TOL, AlgebraicSolution, BranchKind
+from .families import AlgebraicSolution, BranchKind
 
 # Levels per branch grow like sqrt(v1).  Far past any level count the oracle
 # can resolve, enumerating them would only exhaust memory.
@@ -25,13 +25,16 @@ MAX_LEVEL_COUNT = 10_000
 MAX_SWEEP_SAMPLES = 100_000
 
 
-class Classification(StrEnum):
+class Classification(Enum):
     """The phase of a spectrum; str() and "%s" write its value, as the documents do."""
 
     ALL_REAL = "AllReal"
     BROKEN_CONJUGATE_PAIRS = "BrokenConjugatePairs"
     COMPLEX_UNPAIRED = "ComplexUnpaired"
     EMPTY = "Empty"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 class EigenLevel(NamedTuple):
@@ -83,8 +86,10 @@ def level_count(n_max_exclusive: float) -> int:
         raise InvalidSpec(
             f"{n_max_exclusive:.6g} closed-form levels exceed the cap of {MAX_LEVEL_COUNT}"
         )
-    scale = abs(n_max_exclusive)  # max(1.0, scale) below, without the call
-    count = math.ceil(n_max_exclusive - REG_TOL * (scale if scale > 1.0 else 1.0))
+    # guard REG_TOL * max(1.0, |bound|) and count max(0, ...), without the
+    # max() calls: every analyze op and scan sample counts each branch here
+    scale = abs(n_max_exclusive)
+    count = math.ceil(n_max_exclusive - families.REG_TOL * (scale if scale > 1.0 else 1.0))
     return count if count > 0 else 0
 
 
@@ -102,19 +107,35 @@ def is_pt_symmetric(spec) -> bool:
     return spec.pt_symmetric()
 
 
-def _classification_of(kinds: list[BranchKind]) -> Classification:
-    """The phase of a spectrum whose regular branches have these kinds.
+def _classification_of(real: int, paired: int, unpaired: int) -> Classification:
+    """The phase of a spectrum with these level counts per branch kind.
 
-    Every regular branch emits at least one level (m_re clears 1/2 by more
-    than level_count's guard), so the branch kinds alone fix the phase.
+    real, paired and unpaired count the levels of the REAL_SERIES,
+    COMPLEX_PAIR_MEMBER and COMPLEX_UNPAIRED branches.
     """
-    if not kinds:
-        return Classification.EMPTY
-    if BranchKind.COMPLEX_PAIR_MEMBER in kinds:
+    if paired:
         return Classification.BROKEN_CONJUGATE_PAIRS
-    if BranchKind.COMPLEX_UNPAIRED in kinds:
+    if unpaired:
         return Classification.COMPLEX_UNPAIRED
-    return Classification.ALL_REAL
+    return Classification.ALL_REAL if real else Classification.EMPTY
+
+
+def _level_counts(branches: list[AlgebraicSolution]) -> tuple[int, int, int]:
+    """The (real, paired, unpaired) level counts of these branches, by branch kind.
+
+    Every branch is counted, so level_count's cap holds for each.
+    """
+    real = paired = unpaired = 0
+    for sol in branches:
+        count = level_count(sol.n_max_exclusive)
+        kind = sol.branch_kind
+        if kind is BranchKind.REAL_SERIES:
+            real += count
+        elif kind is BranchKind.COMPLEX_PAIR_MEMBER:
+            paired += count
+        else:
+            unpaired += count
+    return real, paired, unpaired
 
 
 def classify(spec, branches: list[AlgebraicSolution]) -> SpectrumReport:
@@ -125,11 +146,10 @@ def classify(spec, branches: list[AlgebraicSolution]) -> SpectrumReport:
     conjugate pair of a broken-coupling Scarf/Poschl-Teller system;
     ComplexUnpaired for the generic complex Morse series.
     """
-    pairs = [(sol, enumerate_levels(sol)) for sol in branches]
     return SpectrumReport(
         spec=spec,
-        branches=pairs,
-        classification=_classification_of([sol.branch_kind for sol in branches]),
+        branches=[(sol, enumerate_levels(sol)) for sol in branches],
+        classification=_classification_of(*_level_counts(branches)),
         pt_symmetric=is_pt_symmetric(spec),
         threshold_distance=spec.threshold_distance(),
         reality_condition_residual=spec.reality_residual(),
@@ -171,41 +191,20 @@ def scan_threshold(base_spec, start: float, stop: float, step: float) -> list[Ph
     Morse-AB sweeps delta_p across gamma_p.  Each row counts real levels and
     complex-conjugate level pairs (unpaired complex Morse levels contribute
     to neither count; the classification column carries the phase).  Each
-    sample is built through its family's constructor, as
-    `families.with_swept_value` builds it, and its levels are counted from
-    its branches in one pass; no level or realization is built.  A range
-    error is raised before a family without a sweep field is named.
+    sample is built by `families.sweep_builder`, through its family's
+    constructor, and its levels are counted from its branches in one pass;
+    no level or realization is built.  A range error is raised before a
+    family without a sweep field is named.
     """
     values = sweep_values(start, stop, step)
-    field = base_spec.sweep_field
-    if field is None:
-        raise InvalidSpec(f"family {base_spec.family!r} has no sweep parameter")
-    family, couplings = type(base_spec), dict(vars(base_spec))
+    build = families.sweep_builder(base_spec)
     rows = []
     for value in values:
-        couplings[field] = value
         try:
-            branches = family(**couplings).branch_rows()
+            branches = build(value).branch_rows()
         except NoRegularBranch:
-            rows.append(PhaseDiagramRow(value, 0, 0, Classification.EMPTY))
-            continue
-        real = paired = unpaired = 0
-        for sol in branches:
-            count = level_count(sol.n_max_exclusive)  # every branch, so the cap holds for each
-            kind = sol.branch_kind
-            if kind is BranchKind.REAL_SERIES:
-                real += count
-            elif kind is BranchKind.COMPLEX_PAIR_MEMBER:
-                paired += count
-            else:
-                unpaired += count
-        # every regular branch emits a level, so a count is nonzero exactly
-        # where its kind is present, and the phase follows _classification_of
-        if paired:
-            phase = Classification.BROKEN_CONJUGATE_PAIRS
-        elif unpaired:
-            phase = Classification.COMPLEX_UNPAIRED
-        else:
-            phase = Classification.ALL_REAL
+            branches = []
+        real, paired, unpaired = _level_counts(branches)
+        phase = _classification_of(real, paired, unpaired)
         rows.append(PhaseDiagramRow(value, real, paired // 2, phase))
     return rows

@@ -875,6 +875,11 @@ class TestFamilyContract:
         swept = families.with_swept_value(spec, value)
         assert type(swept) is cls
         assert swept.parameters() == {**spec.parameters(), cls.sweep_field: value}
+        # one builder serves a whole sweep: a later sample leaves an earlier one as built
+        build = families.sweep_builder(spec)
+        first, second = build(value), build(value + 0.5)
+        assert first == swept
+        assert second.parameters() == {**spec.parameters(), cls.sweep_field: value + 0.5}
 
     def test_non_finite_couplings_rejected(self, cls):
         spec = EXAMPLES[cls.family]

@@ -20,7 +20,7 @@ from sl2spectra import (
     morse_from_ab,
     solve,
 )
-from sl2spectra.families import _strictly_above
+from sl2spectra.families import REG_TOL, _strictly_above
 from sl2spectra.spectrum import enumerate_levels
 
 from branch_reference import morse_rows, poschl_teller_rows, scarf_rows
@@ -359,6 +359,16 @@ def spec_or_reject(cls, couplings):
         return cls(*couplings)
     except InvalidSpec:
         assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUPLINGS | st.floats(), COUPLINGS | st.just(0.5) | st.floats())
+@example(0.5 + 1.1e-12, 0.5).via("just above the REG_TOL margin at scale 1")
+@example(-3.0, 0.5).via("negative value")
+def test_strictly_above_is_the_relative_margin(value, bound):
+    """_strictly_above is value - bound > REG_TOL * max(1, |value|, |bound|)."""
+    expected = value - bound > REG_TOL * max(1.0, abs(value), abs(bound))
+    assert _strictly_above(value, bound) is expected
 
 
 class TestOneRoot:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sl2spectra import (
@@ -45,11 +45,26 @@ class TestLevelCount:
         assert level_count(3.0 + 1e-15) == 3  # noise above an integer
         assert level_count(3.0 - 1e-15) == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, MAX_LEVEL_COUNT) | st.integers(-3, MAX_LEVEL_COUNT).map(float))
+    @example(1.0 + REG_TOL).via("on the guard at scale 1")
+    def test_is_the_guarded_ceiling(self, bound):
+        """level_count is max(0, ceil(bound - REG_TOL * max(1, |bound|)))."""
+        expected = max(0, math.ceil(bound - REG_TOL * max(1.0, abs(bound))))
+        assert level_count(bound) == expected
+
     def test_cap(self):
         assert level_count(float(MAX_LEVEL_COUNT)) == MAX_LEVEL_COUNT
         for bound in (MAX_LEVEL_COUNT + 0.5, 1e150, math.inf, math.nan):
             with pytest.raises(InvalidSpec):
                 level_count(bound)
+
+
+def test_classification_writes_its_value():
+    """str() and "%s" write the value: the scan CSV formats the member itself."""
+    assert str(Classification.ALL_REAL) == "AllReal"
+    assert "%s" % Classification.BROKEN_CONJUGATE_PAIRS == "BrokenConjugatePairs"
+    assert [str(c) for c in Classification] == [c.value for c in Classification]
 
 
 @pytest.mark.parametrize("cls, values", [
@@ -409,7 +424,7 @@ def any_specs(draw):
 def test_every_regular_branch_emits_a_level(spec):
     """_strictly_above(m_re, 0.5) implies level_count(m_re - 0.5) >= 1.
 
-    classify and scan_threshold rely on it: they classify by branch kinds alone.
+    So a spec with a regular branch is never classified Empty.
     """
     try:
         branches = solve(spec)
